@@ -20,10 +20,19 @@ from .hermitian import (
     NumericsError,
     TolerancePolicy,
     ValidationError,
+    _spectrum,
     equilibrated_inertia,
     inertia,
 )
-from .pick import Region, SearchBudget, kn_profile, pick_entries, profile_to_document
+from .pick import (
+    Region,
+    SearchBudget,
+    _orderings,
+    _placement,
+    kn_profile,
+    pick_entries,
+    profile_to_document,
+)
 
 __all__ = [
     "WitnessPlan",
@@ -59,12 +68,13 @@ class WitnessPlan:
     jump_companions: tuple[complex, ...]
     pole_clusters: tuple[tuple[complex, tuple[complex, ...]], ...]
 
+    def _point_orderings(self) -> tuple[list[complex], ...]:
+        rings = [c for _, ring in self.pole_clusters for c in ring]
+        return _orderings(list(self.jump_nodes), rings, list(self.jump_companions))
+
     def points(self) -> PointConfig:
-        pts: list[complex] = list(self.jump_nodes)
-        for _, cluster in self.pole_clusters:
-            pts.extend(cluster)
-        pts.extend(self.jump_companions)
-        return PointConfig.from_complex(pts)
+        """Jumps, then the pole rings, then the companions."""
+        return PointConfig.from_complex(self._point_orderings()[0])
 
     @property
     def size(self) -> int:
@@ -113,26 +123,31 @@ def witness_plan(
             f"epsilon {epsilon} inadmissible; largest admissible value is {bound:.6g}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(17,)))
+    jumps = tuple(f.jump_points())
     for _ in range(32):
-        jumps = tuple(f.jump_points())
-        companions = tuple(
-            z + 0.5 * epsilon * np.exp(2j * np.pi * rng.random()) for z in jumps
-        )
-        clusters = []
-        for w, mult in f.pole_points():
-            pts = tuple(
-                w + 0.5 * epsilon / (i + 1) * np.exp(2j * np.pi * rng.random())
-                for i in range(mult)
-            )
-            clusters.append((w, pts))
+        companions, rings = _placement(f, epsilon, rng, jumps)
         try:
-            plan = WitnessPlan(epsilon, seed, jumps, companions, tuple(clusters))
+            plan = WitnessPlan(epsilon, seed, jumps, companions, rings)
             cfg = plan.points()
         except ValidationError:
             continue  # angle collision, re-randomize
         if all(f.is_defined_at(p) and abs(complex(p)) < 1.0 - 1e-14 for p in cfg):
             return plan
     raise NumericsError("could not realize a distinct witness placement in 32 attempts")
+
+
+def _witness_inertia(
+    f: StandardFunction, cfg: PointConfig, bound: int, tol: TolerancePolicy
+) -> Inertia:
+    """Equilibrated inertia of the Pick matrix at ``cfg``, checked against ``bound``.
+
+    A count above the certified bound q + l can only be an assembly bug.
+    """
+    z = cfg.values()
+    ine = equilibrated_inertia(HermitianMatrix(pick_entries(f.eval_many(z), z)), tol)
+    if ine.n_neg > bound:
+        raise NumericsError(f"witness count {ine.n_neg} exceeds the certified bound {bound}")
+    return ine
 
 
 @dataclass(frozen=True)
@@ -166,18 +181,8 @@ def verify_witness(
     for round_idx in range(shrink_rounds + 1):
         current = plan if round_idx == 0 else witness_plan(f, eps, plan.seed + 1000 + round_idx)
         cfg = current.points()
-        if len(cfg) == 0:
-            report = Inertia(0, 0, 0, 0.0)
-            return WitnessReport(True, eps, report, target, ((eps, (0, 0, 0)),), cfg)
-        z = cfg.values()
-        entries = pick_entries(f.eval_many(z), z)
-        matrix = HermitianMatrix(entries)
-        ine = equilibrated_inertia(matrix, tol)
+        ine = _witness_inertia(f, cfg, target, tol)
         trajectory.append((eps, ine.as_tuple()))
-        if ine.n_neg > target:
-            raise NumericsError(
-                f"witness count {ine.n_neg} exceeds the certified bound {target}"
-            )
         if ine.n_neg == target:
             return WitnessReport(True, eps, ine, target, tuple(trajectory), cfg)
         eps /= 10.0
@@ -332,31 +337,21 @@ def find_N(
     profile = kn_profile(f, top, None, budget, seed, tol)
     counts = {row.n: row for row in profile.rows}
 
+    eps0 = min(0.1, 0.999 * _max_admissible_epsilon(f))
     for n in range(max(kappa, 1), top + 1):
         # structured subsets, widest radius first
-        eps0 = min(0.1, 0.999 * _max_admissible_epsilon(f))
         for round_idx in range(4):
             eps = eps0 / 10**round_idx
             try:
                 plan = witness_plan(f, eps, seed + 31 * round_idx)
             except ValidationError:
                 continue
-            base = list(plan.jump_nodes)
-            for _, cluster in plan.pole_clusters:
-                base.extend(cluster)
-            base.extend(plan.jump_companions)
-            if len(base) < n:
+            if plan.size < n:
                 continue
-            for subset in _subset_choices(plan, n):
-                cfg = PointConfig.from_complex(subset)
-                z = cfg.values()
-                matrix = HermitianMatrix(pick_entries(f.eval_many(z), z))
-                ine = equilibrated_inertia(matrix, tol)
-                if ine.n_neg > kappa:
-                    raise NumericsError(
-                        f"witness count {ine.n_neg} exceeds the certified bound {kappa}"
-                    )
-                if ine.n_neg == kappa:
+            # distinct length-n prefixes, in ordering order
+            for prefix in dict.fromkeys(tuple(b[:n]) for b in plan._point_orderings()):
+                cfg = PointConfig.from_complex(prefix)
+                if _witness_inertia(f, cfg, kappa, tol).n_neg == kappa:
                     return NSearchReport(n, kappa, n == q + ell, cfg)
         row = counts.get(n)
         if row is not None and row.best_count == kappa:
@@ -364,26 +359,6 @@ def find_N(
     # unreachable for standard functions: the full plan always verifies
     report = verify_witness(f, witness_plan(f, seed=seed), tol=tol)
     return NSearchReport(top, kappa, top == q + ell, report.witness)
-
-
-def _subset_choices(plan: WitnessPlan, n: int):
-    """Orderings of plan points whose length-n prefixes are worth testing."""
-    jumps = list(plan.jump_nodes)
-    clusters: list[complex] = []
-    for _, cluster in plan.pole_clusters:
-        clusters.extend(cluster)
-    comps = list(plan.jump_companions)
-    seen = set()
-    for base in (
-        jumps + clusters + comps,
-        clusters + jumps + comps,
-        jumps + comps + clusters,
-        clusters + comps + jumps,
-    ):
-        prefix = tuple(base[:n])
-        if len(prefix) == n and prefix not in seen:
-            seen.add(prefix)
-            yield prefix
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +387,9 @@ def hindmarsh_test(
     eigenvalue is a certificate of non-membership.  The sample pool mixes
     region-uniform draws with the structural points of a standard function
     (jump points and pole-adjacent rings), since violations concentrate
-    there.  ``f`` may be a standard function or a plain callable.
+    there.  ``f`` may be a standard function or a plain callable; triples
+    whose evaluation raises are skipped, and after ``triples`` such skips
+    the scan raises ``NumericsError`` instead of running on.
 
     Removing a discrete point set from the region changes nothing: a
     function that passes every triple on the thinned region extends
@@ -455,7 +432,7 @@ def hindmarsh_test(
                     picks.append(pool[int(rng.integers(len(pool)))])
             yield picks
 
-    tested = 0
+    tested = failed = 0
     for picks in triple_stream():
         if tested >= triples:
             break
@@ -465,14 +442,16 @@ def hindmarsh_test(
             continue
         try:
             vals = np.array([complex(evaluate(z)) for z in cfg])
-        except Exception:
+        except Exception as exc:  # the function may be undefined on a thin set: skip the triple
+            failed += 1
+            if failed >= triples:
+                raise NumericsError(f"{failed} evaluations failed, last: {exc!r}") from exc
             continue
         tested += 1
-        entries = pick_entries(vals, cfg)
-        matrix = HermitianMatrix((entries + entries.conj().T) / 2.0)
+        matrix = HermitianMatrix(pick_entries(vals, cfg))
         ine = inertia(matrix, tol)
         if ine.n_neg > 0:
-            w = np.linalg.eigvalsh(matrix.entries)
+            w, _ = _spectrum(matrix.entries, tol)
             return HindmarshReport(
                 False, tested, PointConfig.from_complex(cfg), float(w[0])
             )

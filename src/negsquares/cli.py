@@ -25,6 +25,7 @@ from .hermitian import (
     NumericsError,
     TolerancePolicy,
     ValidationError,
+    _spectrum,
     stein_series_sum,
 )
 from .pick import Region, SearchBudget, kn_profile, profile_to_csv, profile_to_document
@@ -77,24 +78,28 @@ def _parse_region(text: str) -> Region:
     parts = [p.strip() for p in text.split(",")]
     if parts[0] in ("whole", "whole-disk"):
         return Region.whole_disk()
-    if parts[0] == "disk":
-        if len(parts) != 4:
-            raise ValidationError("disk region needs disk,CRE,CIM,R")
-        return Region.disk(complex(float(parts[1]), float(parts[2])), float(parts[3]))
-    if parts[0] in ("annulus", "annulus-sector"):
-        if len(parts) != 5:
-            raise ValidationError("annulus region needs annulus,RMIN,RMAX,TMIN,TMAX")
-        return Region.annulus_sector(*(float(p) for p in parts[1:]))
+    try:
+        if parts[0] == "disk":
+            if len(parts) != 4:
+                raise ValidationError("disk region needs disk,CRE,CIM,R")
+            return Region.disk(complex(float(parts[1]), float(parts[2])), float(parts[3]))
+        if parts[0] in ("annulus", "annulus-sector"):
+            if len(parts) != 5:
+                raise ValidationError("annulus region needs annulus,RMIN,RMAX,TMIN,TMAX")
+            return Region.annulus_sector(*(float(p) for p in parts[1:]))
+    except ValueError as exc:
+        raise ValidationError(f"region {text!r}: {exc}") from exc
     raise ValidationError(f"unknown region kind {parts[0]!r}")
 
 
 def _parse_budget(text: str | None) -> SearchBudget:
     if text is None:
         return SearchBudget()
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValidationError("budget must be CONFIGS,ROUNDS")
-    return SearchBudget(int(parts[0]), int(parts[1]))
+    try:
+        configs, rounds = (int(p) for p in text.split(","))
+    except ValueError as exc:  # a part is not an integer, or there are not two parts
+        raise ValidationError("budget must be CONFIGS,ROUNDS") from exc
+    return SearchBudget(configs, rounds)
 
 
 def _emit(payload: str, out: str | None):
@@ -224,7 +229,7 @@ def _run_verify_theta(f, args, region, tol) -> int:
         "kernel_residual": kernel,
         "roundtrip_relative_error": roundtrip,
     }
-    pinv_norm = float(1.0 / np.min(np.abs(np.linalg.eigvalsh(theta.p.entries))))
+    pinv_norm = float(1.0 / np.min(np.abs(_spectrum(theta.p.entries)[0])))
     ok = (
         theta.stein_residual <= 1e-11 * (1.0 + theta.p.norm_max())
         and j_unitarity <= 1e-10

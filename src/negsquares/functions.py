@@ -219,6 +219,8 @@ class SchurConstant(SchurPart):
 
     def __post_init__(self):
         v = complex(self.value)
+        if not np.isfinite(v):
+            raise ValidationError(f"constant must be finite, got {v}")
         if abs(v) > 1.0 + _SCHUR_SLACK:
             raise ValidationError(f"constant modulus {abs(v):.17g} exceeds 1")
         object.__setattr__(self, "value", v)
@@ -508,11 +510,10 @@ def _c(value: complex) -> list[float]:
 def _fromc(pair, what: str) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValidationError(f"{what}: complex values must be [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _schur_to_node(part: SchurPart) -> dict:
-    return part.to_node()
+    value = complex(float(pair[0]), float(pair[1]))
+    if not np.isfinite(value):
+        raise ValidationError(f"{what}: complex values must be finite, got {pair!r}")
+    return value
 
 
 def _schur_from_node(node: dict) -> SchurPart:
@@ -540,7 +541,7 @@ def _schur_from_node(node: dict) -> SchurPart:
 def function_to_document(f: StandardFunction) -> dict:
     doc = {
         "spec_version": SPEC_VERSION,
-        "schur": _schur_to_node(f.schur),
+        "schur": f.schur.to_node(),
         "blaschke": [{"zero": _c(w.value), "mult": m} for w, m in f.blaschke.zeros],
         "jumps": [{"at": _c(z.value), "value": _c(g)} for z, g in f.jumps],
         "undefined_poles": [_c(w.value) for w in f.undefined_poles],
@@ -557,19 +558,29 @@ def function_from_document(doc: dict) -> StandardFunction:
         raise ValidationError(
             f"unsupported spec_version {doc.get('spec_version')!r}, expected {SPEC_VERSION}"
         )
-    schur = _schur_from_node(doc.get("schur", {"kind": "constant", "value": [1.0, 0.0]}))
-    zeros = tuple(
-        (UnitDiskPoint(_fromc(item["zero"], "denominator zero")), int(item["mult"]))
-        for item in doc.get("blaschke", [])
-    )
-    phase = _fromc(doc.get("blaschke_phase", [1.0, 0.0]), "denominator phase")
-    blaschke = BlaschkeProduct(zeros, phase)
-    jumps = tuple(
-        (UnitDiskPoint(_fromc(item["at"], "jump point")), _fromc(item["value"], "jump value"))
-        for item in doc.get("jumps", [])
-    )
-    if "undefined_poles" in doc:
-        poles = tuple(UnitDiskPoint(_fromc(p, "undefined pole")) for p in doc["undefined_poles"])
+    # a missing key or a value of the wrong type is a malformed document, not a crash
+    try:
+        schur = _schur_from_node(doc.get("schur", {"kind": "constant", "value": [1.0, 0.0]}))
+        zeros = tuple(
+            (UnitDiskPoint(_fromc(item["zero"], "denominator zero")), int(item["mult"]))
+            for item in doc.get("blaschke", [])
+        )
+        phase = _fromc(doc.get("blaschke_phase", [1.0, 0.0]), "denominator phase")
+        blaschke = BlaschkeProduct(zeros, phase)
+        jumps = tuple(
+            (UnitDiskPoint(_fromc(item["at"], "jump point")), _fromc(item["value"], "jump value"))
+            for item in doc.get("jumps", [])
+        )
+        poles = None
+        if "undefined_poles" in doc:
+            poles = tuple(
+                UnitDiskPoint(_fromc(p, "undefined pole")) for p in doc["undefined_poles"]
+            )
+    except KeyError as exc:
+        raise ValidationError(f"function document lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed function document: {exc}") from exc
+    if poles is not None:
         return StandardFunction(schur, blaschke, jumps, poles)
     return StandardFunction.build(schur, blaschke, jumps)
 

@@ -160,6 +160,16 @@ class Inertia:
     def rank(self) -> int:
         return self.n_neg + self.n_pos
 
+    @classmethod
+    def from_spectrum(cls, w: np.ndarray, tau: float) -> "Inertia":
+        """Counts of eigenvalues below -tau, within [-tau, tau], above tau."""
+        return cls(
+            int(np.sum(w < -tau)),
+            int(np.sum(np.abs(w) <= tau)),
+            int(np.sum(w > tau)),
+            tau,
+        )
+
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_neg, self.n_zero, self.n_pos)
 
@@ -207,11 +217,17 @@ class SteinData:
 # operations
 
 
-def _eigvalsh(entries: np.ndarray) -> np.ndarray:
+def _spectrum(entries: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of a Hermitian array and the realized threshold tau.
+
+    The one eigensolve of the package: every count, rank and spectral
+    bound goes through here, so a solver failure is always typed.
+    """
     try:
-        return np.linalg.eigvalsh(entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        w = np.linalg.eigvalsh(entries)
+    except np.linalg.LinAlgError as exc:
         raise EigenSolverError(entries.shape[0], f"({exc})") from exc
+    return w, tol.threshold(w)
 
 
 def inertia(matrix: HermitianMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
@@ -221,16 +237,7 @@ def inertia(matrix: HermitianMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Iner
     result.  Eigenvalue based; this is the reference path against which
     any faster factorization would have to agree.
     """
-    if matrix.dim == 0:
-        return Inertia(0, 0, 0, 0.0)
-    w = _eigvalsh(matrix.entries)
-    tau = tol.threshold(w)
-    return Inertia(
-        int(np.sum(w < -tau)),
-        int(np.sum(np.abs(w) <= tau)),
-        int(np.sum(w > tau)),
-        tau,
-    )
+    return Inertia.from_spectrum(*_spectrum(matrix.entries, tol))
 
 
 def equilibrated_inertia(matrix: HermitianMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
@@ -241,18 +248,9 @@ def equilibrated_inertia(matrix: HermitianMatrix, tol: TolerancePolicy = DEFAULT
     relative threshold no longer swallows the small blocks.  Used for Pick
     matrices whose nodes cluster near poles of different multiplicities.
     """
-    if matrix.dim == 0:
-        return Inertia(0, 0, 0, 0.0)
     d = 1.0 / np.sqrt(np.maximum(np.abs(np.diag(matrix.entries)), 1.0))
     scaled = matrix.entries * np.outer(d, d)
-    w = _eigvalsh((scaled + scaled.conj().T) / 2.0)
-    tau = tol.threshold(w)
-    return Inertia(
-        int(np.sum(w < -tau)),
-        int(np.sum(np.abs(w) <= tau)),
-        int(np.sum(w > tau)),
-        tau,
-    )
+    return Inertia.from_spectrum(*_spectrum((scaled + scaled.conj().T) / 2.0, tol))
 
 
 def solve_stein(data: SteinData) -> HermitianMatrix:
@@ -318,8 +316,7 @@ def schur_complement(
         raise ValidationError(f"block size {head} out of range for dimension {n}")
     if head == 0:
         return matrix, inertia(matrix, tol)
-    full_eigs = _eigvalsh(matrix.entries) if n else np.zeros(0)
-    tau = tol.threshold(full_eigs)
+    _, tau = _spectrum(matrix.entries, tol)
     b = matrix.entries[:head, :head]
     smin = float(np.min(np.linalg.svd(b, compute_uv=False)))
     if smin <= tau:
@@ -353,9 +350,8 @@ def max_nonsingular_principal_submatrix(
     n = matrix.dim
     if n == 0:
         return []
-    eigs = _eigvalsh(matrix.entries)
-    tau = tol.threshold(eigs)
-    target = int(np.sum(np.abs(eigs) > tau))
+    w, tau = _spectrum(matrix.entries, tol)
+    target = Inertia.from_spectrum(w, tau).rank
     chosen: list[int] = []
     remaining = list(range(n))
     work = np.array(matrix.entries, dtype=complex)

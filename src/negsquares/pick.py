@@ -24,7 +24,7 @@ from .hermitian import (
     NumericsError,
     TolerancePolicy,
     ValidationError,
-    inertia,
+    _spectrum,
 )
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
 
 _MIN_BLASCHKE_MAGNITUDE = 1e-8  # admissibility floor for unstructured nodes near poles
 _RANDOM_SEPARATION = 1e-8
+_PLACEMENT_SCALES = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # epsilons of the structured candidates
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +174,15 @@ class PickMatrixResult:
 
 
 def pick_entries(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Raw kernel matrix from precomputed function values."""
+    """Pick matrix from precomputed function values, exactly Hermitian.
+
+    Returns (P + P*)/2 of the raw kernel matrix P, so roundoff asymmetry
+    never reaches an eigensolve; symmetrizing again leaves every bit as is.
+    """
     f = np.asarray(values, dtype=complex)
     z = np.asarray(nodes, dtype=complex)
-    return (1.0 - np.outer(f, f.conj())) / (1.0 - np.outer(z, z.conj()))
+    p = (1.0 - np.outer(f, f.conj())) / (1.0 - np.outer(z, z.conj()))
+    return (p + p.conj().T) / 2.0
 
 
 def build_pick(
@@ -195,8 +201,9 @@ def build_pick(
     z = nodes.values()
     vals = f.eval_many(z)
     matrix = HermitianMatrix(pick_entries(vals, z))
-    ine = inertia(matrix, tol)
-    w = np.abs(np.linalg.eigvalsh(matrix.entries)) if matrix.dim else np.zeros(0)
+    w, tau = _spectrum(matrix.entries, tol)
+    ine = Inertia.from_spectrum(w, tau)
+    w = np.abs(w)
     if matrix.dim and float(np.min(w)) > 0.0:
         cond = float(np.max(w) / np.min(w))
     else:
@@ -264,11 +271,7 @@ class _Searcher:
         The tie-break favors configurations whose smallest count+1
         eigenvalues sum lowest, i.e. closest to gaining one more negative.
         """
-        vals = self.f.eval_many(config)
-        entries = pick_entries(vals, config)
-        entries = (entries + entries.conj().T) / 2.0
-        w = np.linalg.eigvalsh(entries)
-        tau = self.tol.threshold(w)
+        w, tau = _spectrum(pick_entries(self.f.eval_many(config), config), self.tol)
         count = int(np.sum(w < -tau))
         if count > self.kappa_cap:
             raise NumericsError(
@@ -313,35 +316,30 @@ def _witness_key(config: np.ndarray) -> tuple:
     return tuple(x for pair in flat for x in pair)
 
 
-def _structured_pools(f: StandardFunction, rng: np.random.Generator, searcher: _Searcher):
-    """Candidate points derived from the singular structure of ``f``.
+def _placement(f: StandardFunction, eps: float, rng: np.random.Generator, jumps):
+    """Companions and pole rings at scale ``eps`` around the singularities of ``f``.
 
-    Jumps contribute themselves plus nearby companions; each distinct pole
-    of multiplicity r contributes r-point clusters on shrinking radii.
-    Points outside the region or the domain are dropped.
+    One companion on the circle of radius eps/2 around each of ``jumps``,
+    then for each distinct pole of multiplicity r one point on each radius
+    eps/2 * (1, 1/2, ..., 1/r), all at fresh angles drawn in that order.
+    Returns (companions, ((pole, ring points), ...)).
     """
-    jumps = [z for z in f.jump_points() if searcher.admissible(z, structured=True)]
-    pools = []
-    for eps in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3):
-        companions = []
-        for z in jumps:
-            c = z + 0.5 * eps * np.exp(2j * np.pi * rng.random())
-            if searcher.admissible(c, structured=True):
-                companions.append(c)
-        clusters = []
-        for w, mult in f.pole_points():
-            for i in range(1, mult + 1):
-                c = w + 0.5 * eps / i * np.exp(2j * np.pi * rng.random())
-                if searcher.admissible(c, structured=True):
-                    clusters.append(c)
-        pools.append(
-            {
-                "jumps": list(jumps),
-                "companions": companions,
-                "clusters": clusters,
-            }
-        )
-    return pools
+    companions = tuple(z + 0.5 * eps * np.exp(2j * np.pi * rng.random()) for z in jumps)
+    rings = tuple(
+        (w, tuple(w + 0.5 * eps / i * np.exp(2j * np.pi * rng.random()) for i in range(1, r + 1)))
+        for w, r in f.pole_points()
+    )
+    return companions, rings
+
+
+def _orderings(jumps: list, rings: list, companions: list) -> tuple[list, ...]:
+    """Orderings of structured points whose prefixes make witness candidates."""
+    return (
+        jumps + rings + companions,
+        rings + jumps + companions,
+        jumps + companions + rings,
+        rings + companions + jumps,
+    )
 
 
 def _pad_to_n(base: list[complex], n: int, region: Region, rng: np.random.Generator, searcher) -> np.ndarray | None:
@@ -380,6 +378,7 @@ def kn_profile(
     region = region or Region.whole_disk()
     q, ell, kappa = f.counts()
     searcher = _Searcher(f, region, tol, kappa)
+    jumps = [z for z in f.jump_points() if searcher.admissible(z, structured=True)]
     rows: list[ProfileRow] = []
     prev_witness: np.ndarray | None = None
     prev_best = 0
@@ -389,13 +388,13 @@ def kn_profile(
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(n,)))
         candidates: list[np.ndarray] = []
 
-        for pool in _structured_pools(f, rng, searcher):
-            orderings = (
-                pool["jumps"] + pool["clusters"] + pool["companions"],
-                pool["clusters"] + pool["jumps"] + pool["companions"],
-                pool["jumps"] + pool["companions"] + pool["clusters"],
-            )
-            for base in orderings:
+        # every ring is drawn before any padding draw: the draw order fixes the witnesses
+        pools = [_placement(f, eps, rng, jumps) for eps in _PLACEMENT_SCALES]
+        for companions, rings in pools:
+            companions = [c for c in companions if searcher.admissible(c, structured=True)]
+            rings = [c for _, ring in rings for c in ring]
+            rings = [c for c in rings if searcher.admissible(c, structured=True)]
+            for base in _orderings(jumps, rings, companions)[:3]:
                 cfg = _pad_to_n(base, n, region, rng, searcher)
                 if cfg is not None:
                     candidates.append(cfg)

@@ -29,6 +29,7 @@ from .hermitian import (
     SteinData,
     TolerancePolicy,
     ValidationError,
+    _spectrum,
     solve_stein,
 )
 from .pick import build_pick
@@ -83,7 +84,7 @@ class ThetaRealization:
             raise NumericsError(
                 f"Stein identity residual {resid:.3e} exceeds contract {bound:.3e}"
             )
-        eigs = np.abs(np.linalg.eigvalsh(p))
+        eigs = np.abs(_spectrum(p)[0])
         if float(np.min(eigs)) <= 1e-10 * float(np.max(eigs)):
             raise SingularPickError(
                 "Pick matrix is numerically singular; reduce the node set with "
@@ -217,7 +218,7 @@ class BlaschkeRealization:
         n = a.shape[0]
         if e.shape != (n,) or self.k.dim != n:
             raise ValidationError("realization dimensions are inconsistent")
-        eigs = np.linalg.eigvalsh(self.k.entries)
+        eigs, _ = _spectrum(self.k.entries)
         if float(np.min(eigs)) <= 0.0:
             raise NumericsError("Gram matrix of the realization is not positive definite")
         obs = np.zeros((n, n), dtype=complex)

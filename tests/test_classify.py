@@ -1,10 +1,13 @@
 """Witness plans, plateau classification, minimal witness size, triple scan."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from negsquares import (
     BlaschkeProduct,
+    NumericsError,
     Region,
     SchurConstant,
     SearchBudget,
@@ -245,6 +248,25 @@ class TestHindmarsh:
     def test_callable_interface(self):
         report = hindmarsh_test(lambda z: 0.5 * z, triples=500, seed=8)
         assert report.consistent
+
+    def test_always_failing_callable_raises(self):
+        def broken(z):
+            raise ZeroDivisionError("no value here")
+
+        outcome = []
+
+        def scan():
+            try:
+                hindmarsh_test(broken, triples=10, seed=8)
+            except NumericsError as exc:
+                outcome.append(exc)
+
+        # in a daemon thread, so a scan that never ends fails the test instead of hanging it
+        worker = threading.Thread(target=scan, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert len(outcome) == 1 and "ZeroDivisionError" in str(outcome[0])
 
 
 class TestExtensionMonotonicity:

@@ -212,6 +212,30 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "change, extra",
+        [
+            ({}, ["--budget", "x,y"]),
+            ({}, ["--region", "disk,a,0,0.2"]),
+            ({"schur": {"kind": "constant"}}, []),
+            ({"blaschke": [{"zero": [0.5, 0.0], "mult": "two"}]}, []),
+            ({"schur": {"kind": "constant", "value": [float("nan"), 0.0]}}, []),
+            ({"blaschke_phase": [float("nan"), 0.0]}, []),
+        ],
+        ids=["budget", "region", "missing-key", "mult", "nan-constant", "nan-phase"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, change, extra):
+        doc = {
+            "spec_version": 1,
+            "schur": {"kind": "constant", "value": [0.5, 0.0]},
+            "blaschke": [],
+            "jumps": [],
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**doc, **change}))
+        assert run(["--spec", str(spec), "--command", "profile", "--seed", "1", *extra]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+
     def test_seed_required(self, spec_path, capsys):
         with pytest.raises(SystemExit):
             run(["--spec", spec_path(jump_function(0.0)), "--command", "profile"])

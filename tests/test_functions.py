@@ -85,6 +85,10 @@ class TestSchurGrammar:
         with pytest.raises(ValidationError):
             SchurConstant(1.2)
 
+    def test_constant_must_be_finite(self):
+        with pytest.raises(ValidationError):
+            SchurConstant(float("nan"))
+
     def test_polynomial_certificate(self):
         SchurPolynomial((0.5, 0.5))  # coefficient sum 1
         with pytest.raises(ValidationError):

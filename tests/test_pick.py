@@ -147,6 +147,22 @@ class TestProfile:
             tuple(r.witness.values()) for r in b.rows
         ]
 
+    def test_structured_draw_order_pinned(self):
+        # the pole rings of every scale are drawn before any padding node;
+        # drawing them interleaved moves the n = 3 witness by about 1e-3
+        f = quotient(SchurConstant(0.5), [(0.3 + 0.2j, 2)])
+        result = kn_profile(f, 3, budget=SearchBudget(10, 2), seed=5)
+        pinned = {
+            2: [0.2995165956835929 + 0.2001277507999154j, 0.3001800198305495 + 0.19982652706087423j],
+            3: [
+                0.30027414174106687 + 0.19958185372678355j,
+                0.29978723491094633 + 0.1998687330320302j,
+                0.16906873898099462 + 0.6439060159267839j,
+            ],
+        }
+        for n, want in pinned.items():
+            assert np.allclose(result.rows[n - 1].witness.values(), want, rtol=0.0, atol=1e-12)
+
     def test_region_restriction_avoids_jump(self):
         # away from the jump the function is a unimodular constant: flat zero
         f = jump_function(0.0)
