@@ -216,6 +216,7 @@ class ClassificationReport:
     bound_check: str  # "ok" | "violated" | "n/a"
     inconclusive: bool
     profile: object = field(compare=False, default=None)
+    minimal_witness: NSearchReport | None = field(compare=False, default=None)  # whole disk only
 
     def to_document(self) -> dict:
         return {
@@ -259,6 +260,8 @@ def plateau_classify(
     final profile value provided the last four sizes agree (a width-3
     plateau); anything still rising is reported inconclusive rather than
     guessed.  Cross-checks that the doubled size already attains the value.
+    On the whole disk the profile also serves ``find_N``, whose report is
+    kept as ``minimal_witness``.
     """
     region = region or Region.whole_disk()
     q, ell, _ = f.counts()
@@ -279,6 +282,8 @@ def plateau_classify(
     n_first = min(n for n in range(0, n_max + 1) if counts.get(n) == kappa_hat)
     n_attained = n_first
     subscript = counts.get(2 * kappa_hat) == kappa_hat if 2 * kappa_hat <= n_max else None
+    # every jump lies in the whole disk, so the profile reaches 2 (q + l) + 3 >= q + 2 l
+    n_report = _minimal_witness(f, profile, seed, tol) if region.kind == "whole-disk" else None
     if region.kind == "whole-disk" and kappa_hat == q + ell:
         small_enough = n_attained <= q + 2 * ell
         large_enough = n_attained >= q + ell or kappa_hat == 0
@@ -287,7 +292,7 @@ def plateau_classify(
         bound = "n/a"
     return ClassificationReport(
         kappa_hat, n_first, n_attained, q, ell, ell_region, expected,
-        subscript, bound, False, profile,
+        subscript, bound, False, profile, n_report,
     )
 
 
@@ -330,11 +335,20 @@ def find_N(
     meets the theoretical lower bound q + l.
     """
     q, ell, kappa = f.counts()
+    profile = kn_profile(f, q + 2 * ell, None, budget, seed, tol) if kappa else None
+    return _minimal_witness(f, profile, seed, tol)
+
+
+def _minimal_witness(f: StandardFunction, profile, seed: int, tol: TolerancePolicy) -> NSearchReport:
+    """``find_N`` on a whole-disk profile of ``f`` reaching at least q + 2 l.
+
+    A profile row depends only on its size and on the seed, budget and
+    tolerance, so the rows of a longer profile serve unchanged.
+    """
+    q, ell, kappa = f.counts()
     if kappa == 0:
         return NSearchReport(0, 0, True, PointConfig(()))
     top = q + 2 * ell
-
-    profile = kn_profile(f, top, None, budget, seed, tol)
     counts = {row.n: row for row in profile.rows}
 
     eps0 = min(0.1, 0.999 * _max_admissible_epsilon(f))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import find_N, hindmarsh_test, plateau_classify, verify_witness, witness_plan
+from .classify import hindmarsh_test, plateau_classify, verify_witness, witness_plan
 from .functions import BlaschkeProduct, PointConfig, disk_samples, load_function
 from .hermitian import (
     DEFAULT_TOL,
@@ -132,9 +132,7 @@ def _run_profile(f, args, region, budget, tol) -> int:
 
 def _run_classify(f, args, region, budget, tol) -> int:
     report = plateau_classify(f, region, budget, args.seed, tol)
-    n_report = None
-    if not report.inconclusive and region.kind == "whole-disk":
-        n_report = find_N(f, budget, args.seed, tol)
+    n_report = report.minimal_witness
     doc = report.to_document()
     doc["minimal_witness_size"] = n_report.to_document() if n_report else None
     if args.format == "csv":

@@ -82,8 +82,12 @@ class TolerancePolicy:
     def absolute(cls, value: float) -> "TolerancePolicy":
         return cls("absolute", value)
 
-    def threshold(self, eigenvalues: np.ndarray) -> float:
-        """Realized absolute threshold tau for a given spectrum."""
+    def threshold(self, eigenvalues: np.ndarray):
+        """Realized absolute threshold tau for a spectrum, or one per row of a stack of spectra."""
+        if eigenvalues.ndim > 1 and self.kind == "absolute":
+            return np.full(eigenvalues.shape[:-1], self.value)
+        if eigenvalues.ndim > 1:
+            return self.value * np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
         if self.kind == "absolute":
             return self.value
         scale = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
@@ -221,12 +225,14 @@ def _spectrum(entries: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[
     """Ascending eigenvalues of a Hermitian array and the realized threshold tau.
 
     The one eigensolve of the package: every count, rank and spectral
-    bound goes through here, so a solver failure is always typed.
+    bound goes through here, so a solver failure is always typed.  A stack
+    (B, n, n) gives B spectra and one tau per matrix, each equal bit for
+    bit to the solve of that matrix alone.
     """
     try:
         w = np.linalg.eigvalsh(entries)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(entries.shape[0], f"({exc})") from exc
+        raise EigenSolverError(entries.shape[-1], f"({exc})") from exc
     return w, tol.threshold(w)
 
 

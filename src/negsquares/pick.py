@@ -43,6 +43,12 @@ __all__ = [
 _MIN_BLASCHKE_MAGNITUDE = 1e-8  # admissibility floor for unstructured nodes near poles
 _RANDOM_SEPARATION = 1e-8
 _PLACEMENT_SCALES = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # epsilons of the structured candidates
+_STACK_ENTRIES = 16384  # complex entries per stacked temporary; numpy rounds larger ones differently
+
+
+def _near(x: np.ndarray, t: float) -> np.ndarray:
+    """Entries of ``x`` within 1e-12 of the threshold ``t`` (relative once |t| > 1)."""
+    return np.abs(x - t) <= 1e-12 * max(abs(t), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +126,29 @@ class Region:
         angle = (np.angle(z) - self.theta_min) % (2.0 * np.pi)
         return angle < width
 
+    def contains_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(``contains`` of every entry of ``z``, entries near the boundary).
+
+        Array loops may round a distance or an angle differently in the last
+        bit, so an entry within 1e-12 of a boundary is flagged for ``contains``.
+        """
+        r = np.abs(z)
+        if self.kind == "whole-disk":
+            return r < 1.0 - 1e-14, _near(r, 1.0 - 1e-14)
+        if self.kind == "disk":
+            d = np.abs(z - self.center)
+            return d < self.radius, _near(d, self.radius)
+        width = self.theta_max - self.theta_min
+        angle = (np.angle(z) - self.theta_min) % (2.0 * np.pi)
+        inside = (self.r_min < r) & (r < self.r_max) & (angle < width)
+        near = _near(r, self.r_min) | _near(r, self.r_max) | _near(angle, width)
+        return inside, near | _near(angle, 0.0) | _near(angle, 2.0 * np.pi)
+
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        u = rng.random(count)
-        theta = rng.random(count)
+        return self._points(rng.random(count), rng.random(count))
+
+    def _points(self, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Points of the region at uniform draws ``u`` (radial) and ``theta`` (angular)."""
         if self.kind == "whole-disk":
             return self._SAMPLE_CAP * np.sqrt(u) * np.exp(2j * np.pi * theta)
         if self.kind == "disk":
@@ -178,11 +204,13 @@ def pick_entries(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
     Returns (P + P*)/2 of the raw kernel matrix P, so roundoff asymmetry
     never reaches an eigensolve; symmetrizing again leaves every bit as is.
+    Values and nodes of shape (..., n) give a stack of shape (..., n, n).
     """
     f = np.asarray(values, dtype=complex)
     z = np.asarray(nodes, dtype=complex)
-    p = (1.0 - np.outer(f, f.conj())) / (1.0 - np.outer(z, z.conj()))
-    return (p + p.conj().T) / 2.0
+    fc, zc = f.conj(), z.conj()
+    p = (1.0 - f[..., :, None] * fc[..., None, :]) / (1.0 - z[..., :, None] * zc[..., None, :])
+    return (p + p.conj().mT) / 2.0
 
 
 def build_pick(
@@ -257,13 +285,53 @@ class _Searcher:
             return True
         return abs(complex(self.f.blaschke.eval(z))) >= _MIN_BLASCHKE_MAGNITUDE
 
-    def usable(self, config: np.ndarray) -> bool:
-        n = len(config)
-        if n > 1:
-            d = np.abs(config[:, None] - config[None, :])[np.triu_indices(n, 1)]
-            if float(np.min(d)) < _RANDOM_SEPARATION:
-                return False
-        return True
+    def admissible_many(self, z: np.ndarray) -> np.ndarray:
+        """``admissible(z, structured=False)`` for every entry of ``z``.
+
+        Array loops may round |B(z)| or a distance differently in the last
+        bit, so entries near a threshold are decided on the scalar path.
+        """
+        with np.errstate(all="ignore"):  # B may blow up outside the disk; those entries drop
+            b = np.abs(self.f.blaschke.eval(z))
+        inside, near = self.region.contains_many(z)
+        r = np.abs(z)
+        jump = np.zeros(z.shape, dtype=bool)
+        for v in self.jump_values:
+            jump |= z == v
+        # an undefined pole is a zero of B, so the floor rejects it
+        ok = (r < 1.0 - 1e-14) & inside & (jump | (b >= _MIN_BLASCHKE_MAGNITUDE))
+        near |= _near(r, 1.0 - 1e-14) | _near(b, _MIN_BLASCHKE_MAGNITUDE)
+        for i in np.flatnonzero(near):
+            ok[i] = self.admissible(complex(z[i]), structured=False)
+        return ok
+
+    def usable(self, config: np.ndarray):
+        """No two nodes closer than the separation floor; a (B, n) stack gives B flags."""
+        close = np.abs(config[..., :, None] - config[..., None, :]) < _RANDOM_SEPARATION
+        return np.count_nonzero(close, axis=(-2, -1)) <= config.shape[-1]  # the diagonal only
+
+    def score_many(self, configs: np.ndarray) -> list[tuple[int, float]]:
+        """Scores of the rows of a (B, n) stack, unchecked against the bound.
+
+        Each equals the score of that row alone bit for bit: the stack is cut
+        so no complex temporary reaches _STACK_ENTRIES entries.
+        """
+        rows = max(1, (_STACK_ENTRIES - 1) // configs.shape[1] ** 2)
+        out = []
+        for start in range(0, len(configs), rows):
+            chunk = configs[start:start + rows]
+            w, tau = _spectrum(pick_entries(self.f.eval_many(chunk), chunk), self.tol)
+            counts = np.count_nonzero(w < -tau[:, None], axis=1)
+            out += [(int(c), -float(np.sum(v[: c + 1]))) for v, c in zip(w, counts)]
+        return out
+
+    def checked(self, score: tuple[int, float]) -> tuple[int, float]:
+        if score[0] > self.kappa_cap:
+            raise NumericsError(
+                f"computed {score[0]} negative eigenvalues, above the certified bound "
+                f"{self.kappa_cap}; this indicates an assembly bug"
+            )
+        return score
 
     def score(self, config: np.ndarray) -> tuple[int, float]:
         """(negative count, tie-break) - larger is better on both coordinates.
@@ -271,39 +339,43 @@ class _Searcher:
         The tie-break favors configurations whose smallest count+1
         eigenvalues sum lowest, i.e. closest to gaining one more negative.
         """
-        w, tau = _spectrum(pick_entries(self.f.eval_many(config), config), self.tol)
-        count = int(np.sum(w < -tau))
-        if count > self.kappa_cap:
-            raise NumericsError(
-                f"computed {count} negative eigenvalues, above the certified bound "
-                f"{self.kappa_cap}; this indicates an assembly bug"
-            )
-        tie = -float(np.sum(w[: count + 1])) if len(w) else 0.0
-        return count, tie
+        return self.checked(self.score_many(config[None])[0])
 
     def refine(self, config: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple[int, float], int]:
-        """Coordinatewise hill climb; step halves after a sweep without gain."""
+        """Coordinatewise hill climb; step halves after a sweep without gain.
+
+        A sweep moves each node in turn by +-step and +-i step, keeping every
+        move that beats the best so far.  The moves are scored in stacks: all
+        admissible, usable moves left in the sweep at once; after the first
+        accepted one, the moves behind it are rebuilt around the new best.
+        ``used`` counts exactly the moves a one-at-a-time climb scores.
+        """
         best = config.copy()
         best_score = self.score(best)
         used = 1
         step = 1e-2
+        n = len(best)
         for _ in range(rounds):
             if best_score[0] >= self.kappa_cap:
                 break  # count is maximal; the tie-break alone is not worth budget
             improved = False
-            for i in range(len(best)):
-                for d in (step, -step, 1j * step, -1j * step):
-                    cand = best.copy()
-                    cand[i] = best[i] + d
-                    if not self.admissible(cand[i], structured=False):
-                        continue
-                    if not self.usable(cand):
-                        continue
+            moves = np.array([step, -step, 1j * step, -1j * step])
+            k = np.arange(4 * n)  # move k shifts node k // 4 by moves[k % 4]
+            while len(k):
+                cands = np.repeat(best[None, :], len(k), axis=0)
+                rows = np.arange(len(k))
+                cands[rows, k // 4] = best[k // 4] + moves[k % 4]
+                keep = self.admissible_many(cands[rows, k // 4]) & self.usable(cands)
+                k, cands = k[keep], cands[keep]
+                for j, s in enumerate(self.score_many(cands)):
                     used += 1
-                    s = self.score(cand)
-                    if s > best_score:
-                        best, best_score = cand, s
+                    if self.checked(s) > best_score:
+                        best, best_score = cands[j], s
                         improved = True
+                        k = np.arange(k[j] + 1, 4 * n)
+                        break
+                else:
+                    break
             if not improved:
                 step /= 2.0
                 if step < 1e-9:
@@ -343,13 +415,19 @@ def _orderings(jumps: list, rings: list, companions: list) -> tuple[list, ...]:
 
 
 def _pad_to_n(base: list[complex], n: int, region: Region, rng: np.random.Generator, searcher) -> np.ndarray | None:
+    """``base`` cut or padded to ``n`` nodes with admissible region draws, at most 200.
+
+    Draws come in blocks of as many as are still missing, one u and one theta
+    each, so the stream is consumed exactly as by one-point draws.
+    """
     pts = list(base[:n])
     guard = 0
     while len(pts) < n and guard < 200:
-        guard += 1
-        z = complex(region.sample(rng, 1)[0])
-        if searcher.admissible(z, structured=False):
-            pts.append(z)
+        k = min(n - len(pts), 200 - guard)
+        guard += k
+        r = rng.random(2 * k)
+        z = region._points(r[0::2], r[1::2])
+        pts += list(z[searcher.admissible_many(z)])
     if len(pts) < n:
         return None
     config = np.array(pts, dtype=complex)
@@ -420,11 +498,9 @@ def kn_profile(
                 "the region may not intersect the domain"
             )
 
-        scored: list[tuple[tuple[int, float], np.ndarray]] = []
-        samples = 0
-        for cfg in candidates:
-            samples += 1
-            scored.append((searcher.score(cfg), cfg))
+        scores = [searcher.checked(s) for s in searcher.score_many(np.array(candidates))]
+        scored = list(zip(scores, candidates))
+        samples = len(scored)
         scored.sort(key=lambda item: (item[0], [-x for x in _witness_key(item[1])]), reverse=True)
 
         leaders = scored[:3]

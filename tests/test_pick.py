@@ -15,6 +15,8 @@ from negsquares import (
     profile_to_csv,
     profile_to_document,
 )
+from negsquares.hermitian import DEFAULT_TOL, TolerancePolicy, _spectrum
+from negsquares.pick import _Searcher, pick_entries
 from conftest import example_sharp, jump_function, quotient, schur_only
 
 
@@ -209,3 +211,145 @@ class TestEmission:
         assert len(doc["rows"]) == 5
         assert doc["plateau"] == {"value": 1, "first_n": 2}
         assert doc["exhausted"] is False
+
+
+def _stack_functions():
+    """A pole pair, a jump, and a jump sitting on a double pole."""
+    from negsquares import BlaschkeProduct, StandardFunction, UnitDiskPoint
+
+    on_pole = StandardFunction.build(
+        SchurConstant(0.7),
+        BlaschkeProduct(((UnitDiskPoint(0.3 + 0.2j), 2), (UnitDiskPoint(-0.4), 1))),
+        jumps=((UnitDiskPoint(0.3 + 0.2j), 0.5),),
+    )
+    return (
+        quotient(SchurConstant(0.9), [(0.3 + 0.2j, 1), (-0.4, 1)]),
+        jump_function(0.0, at=0.1 - 0.2j),
+        on_pole,
+    )
+
+
+def _stack_configs(f, n: int, count: int, rng) -> np.ndarray:
+    """Region draws with nodes clustered around the singularities of ``f``."""
+    anchors = [w for w, _ in f.pole_points()] + f.jump_points()
+    out = Region.whole_disk().sample(rng, count * n).reshape(count, n)
+    for row in out[: count // 2]:
+        for i, a in enumerate(anchors[:n]):
+            row[i] = a + 10.0 ** -rng.integers(1, 5) * np.exp(2j * np.pi * rng.random())
+    return out
+
+
+def _sequential_refine(searcher, config, rounds):
+    """The one-move-at-a-time hill climb the stacked ``refine`` must reproduce."""
+    best = config.copy()
+    best_score = searcher.score(best)
+    used = 1
+    step = 1e-2
+    for _ in range(rounds):
+        if best_score[0] >= searcher.kappa_cap:
+            break
+        improved = False
+        for i in range(len(best)):
+            for d in (step, -step, 1j * step, -1j * step):
+                cand = best.copy()
+                cand[i] = best[i] + d
+                if not searcher.admissible(cand[i], structured=False):
+                    continue
+                d2 = np.abs(cand[:, None] - cand[None, :])[np.triu_indices(len(cand), 1)]
+                if len(cand) > 1 and float(np.min(d2)) < 1e-8:
+                    continue
+                used += 1
+                s = searcher.score(cand)
+                if s > best_score:
+                    best, best_score = cand, s
+                    improved = True
+        if not improved:
+            step /= 2.0
+            if step < 1e-9:
+                break
+    return best, best_score, used
+
+
+class TestStackedScoring:
+    def test_pick_entries_stack_matches_outer_form(self, rng):
+        f = _stack_functions()[2]
+        for n in (1, 3, 13):
+            z = _stack_configs(f, n, 90, rng)
+            vals = f.eval_many(z)
+            stack = pick_entries(vals, z)
+            for v, row, got in zip(vals, z, stack):
+                p = (1.0 - np.outer(v, v.conj())) / (1.0 - np.outer(row, row.conj()))
+                assert np.array_equal(got, (p + p.conj().T) / 2.0)
+                assert np.array_equal(got, pick_entries(v, row))
+
+    def test_spectrum_stack_matches_single_solves(self, rng):
+        f = _stack_functions()[0]
+        z = _stack_configs(f, 7, 60, rng)
+        for tol in (TolerancePolicy.relative(1e-9), TolerancePolicy.absolute(1e-6)):
+            w, tau = _spectrum(pick_entries(f.eval_many(z), z), tol)
+            assert w.shape == (60, 7) and tau.shape == (60,)
+            for row, w_row, tau_row in zip(z, w, tau):
+                w1, tau1 = _spectrum(pick_entries(f.eval_many(row), row), tol)
+                assert np.array_equal(w_row, w1) and tau_row == tau1
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_score_many_matches_scalar_score(self, which, rng):
+        f = _stack_functions()[which]
+        searcher = _Searcher(f, Region.whole_disk(), DEFAULT_TOL, f.counts()[2])
+        for n in (1, 2, 5, 13):
+            configs = _stack_configs(f, n, 150, rng)  # 150 * 13^2 crosses the chunk size
+            for cfg, got in zip(configs, searcher.score_many(configs)):
+                w = np.linalg.eigvalsh(pick_entries(f.eval_many(cfg), cfg))
+                count = int(np.sum(w < -DEFAULT_TOL.threshold(w)))
+                assert got == (count, -float(np.sum(w[: count + 1])))
+                assert type(got[0]) is int and type(got[1]) is float
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_refine_matches_sequential_climb(self, which, rng):
+        f = _stack_functions()[which]
+        for region in (Region.whole_disk(), Region.disk(0.3 + 0.2j, 0.2)):
+            searcher = _Searcher(f, region, DEFAULT_TOL, f.counts()[2])
+            for n in (2, 3, 5):
+                for cfg in _stack_configs(f, n, 6, rng):
+                    cfg = np.where([region.contains(z) for z in cfg], cfg, region.sample(rng, n))
+                    want = _sequential_refine(searcher, cfg, 12)
+                    got = searcher.refine(cfg, 12)
+                    assert np.array_equal(got[0], want[0])
+                    assert got[1:] == want[1:]
+
+    def test_refine_rebuilds_moves_filtered_before_an_acceptance(self):
+        # two nodes 1e-8 apart next to a pole, from a disk-region profile: a
+        # move rejected as too close to the old best is usable after the
+        # other node moves, and the one-at-a-time climb scores it
+        f = quotient(SchurConstant(0.9), [(-0.49686051211399057 + 0.027914148154737996j, 1)])
+        region = Region.disk(-0.49686051211399057 + 0.027914148154737996j, 0.15)
+        searcher = _Searcher(f, region, DEFAULT_TOL, 2)
+        rng = np.random.default_rng(4)
+        anchor = -0.49686051211399057 + 0.027914148154737996j
+        for _ in range(20):
+            cfg = anchor + 1e-8 * np.exp(2j * np.pi * rng.random(2)) * (1 + rng.random(2))
+            want = _sequential_refine(searcher, cfg, 40)
+            got = searcher.refine(cfg, 40)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_blocked_padding_draws_match_one_point_draws(self):
+        for region in (Region.whole_disk(), Region.disk(-0.5, 0.3)):
+            a, b = np.random.default_rng(11), np.random.default_rng(11)
+            r = a.random(2 * 5000)
+            blocked = region._points(r[0::2], r[1::2])
+            single = np.array([region.sample(b, 1)[0] for _ in range(5000)])
+            assert np.array_equal(blocked, single)
+            assert a.random() == b.random()
+
+    def test_admissible_many_matches_scalar_path(self, rng):
+        f = _stack_functions()[2]
+        for region in (Region.whole_disk(), Region.disk(0.3 + 0.2j, 0.2),
+                       Region.annulus_sector(0.1, 0.5, 0.0, np.pi)):
+            searcher = _Searcher(f, region, DEFAULT_TOL, 4)
+            z = np.concatenate([
+                1.2 * region.sample(rng, 400) if region.kind == "whole-disk" else region.sample(rng, 400),
+                _stack_configs(f, 4, 50, rng).ravel(),
+                [0.3 + 0.2j, -0.4, 0.3 + 0.2j + 1e-9],
+            ])
+            got = searcher.admissible_many(z)
+            assert list(got) == [searcher.admissible(complex(p), structured=False) for p in z]
