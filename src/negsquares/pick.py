@@ -322,7 +322,8 @@ class _Searcher:
             chunk = configs[start:start + rows]
             w, tau = _spectrum(pick_entries(self.f.eval_many(chunk), chunk), self.tol)
             counts = np.count_nonzero(w < -tau[:, None], axis=1)
-            out += [(int(c), -float(np.sum(v[: c + 1]))) for v, c in zip(w, counts)]
+            # np.add.reduce is np.sum without its dispatch overhead
+            out += [(int(c), -float(np.add.reduce(v[: c + 1]))) for v, c in zip(w, counts)]
         return out
 
     def checked(self, score: tuple[int, float]) -> tuple[int, float]:
@@ -434,6 +435,47 @@ def _pad_to_n(base: list[complex], n: int, region: Region, rng: np.random.Genera
     return config if searcher.usable(config) else None
 
 
+def _random_configs(count: int, n: int, calls: int, region: Region, rng: np.random.Generator, searcher) -> list[np.ndarray]:
+    """The configurations of ``_pad_to_n([], n, ...)`` called until ``count`` succeed, at most ``calls`` times.
+
+    One block of draws serves many calls.  The calls are read off its
+    admissible draws, then the stream is rewound to the end of the last call
+    used, so it stands where one call at a time would leave it.
+    """
+    found: list[np.ndarray] = []
+    while len(found) < count and calls > 0:
+        state = rng.bit_generator.state
+        k = max(min(count - len(found), _STACK_ENTRIES // n**2) * n, 200)  # a call takes <= 200 draws
+        r = rng.random(2 * k)
+        z = region._points(r[0::2], r[1::2])
+        hits = np.flatnonzero(searcher.admissible_many(z))
+        ends, picks, pos = [], [], 0
+        while len(ends) < calls:
+            j = int(np.searchsorted(hits, pos))
+            if j + n <= len(hits) and hits[j + n - 1] < pos + 200:
+                picks.append(hits[j:j + n])
+                pos = int(hits[j + n - 1]) + 1
+            elif pos + 200 <= k:
+                picks.append(None)
+                pos += 200  # fewer than n admissible draws in 200: the call fails
+            else:
+                break  # the block ends inside this call
+            ends.append(pos)
+        drawn = [p for p in picks if p is not None]
+        usable = iter(searcher.usable(z[np.array(drawn)]) if drawn else ())
+        pos = 0
+        for end, p in zip(ends, picks):
+            calls -= 1
+            pos = end
+            if p is not None and next(usable):
+                found.append(z[p])
+                if len(found) == count:
+                    break
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(2 * pos)
+    return found
+
+
 def kn_profile(
     f: StandardFunction,
     n_max: int,
@@ -483,12 +525,9 @@ def kn_profile(
                 if cfg is not None:
                     candidates.append(cfg)
 
-        tried = 0
-        while len(candidates) < budget.configurations and tried < 20 * budget.configurations:
-            tried += 1
-            cfg = _pad_to_n([], n, region, rng, searcher)
-            if cfg is not None:
-                candidates.append(cfg)
+        candidates += _random_configs(
+            budget.configurations - len(candidates), n, 20 * budget.configurations, region, rng, searcher
+        )
         if len(candidates) < budget.configurations:
             exhausted = True
 

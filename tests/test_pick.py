@@ -16,7 +16,7 @@ from negsquares import (
     profile_to_document,
 )
 from negsquares.hermitian import DEFAULT_TOL, TolerancePolicy, _spectrum
-from negsquares.pick import _Searcher, pick_entries
+from negsquares.pick import _random_configs, _Searcher, pick_entries
 from conftest import example_sharp, jump_function, quotient, schur_only
 
 
@@ -353,3 +353,30 @@ class TestStackedScoring:
             ])
             got = searcher.admissible_many(z)
             assert list(got) == [searcher.admissible(complex(p), structured=False) for p in z]
+
+    @pytest.mark.parametrize("keep", [1.0, 0.4, -0.9])  # share of the disk by real part
+    def test_random_configs_match_one_call_at_a_time(self, keep):
+        f = _stack_functions()[0]
+        for region in (Region.whole_disk(), Region.disk(-0.2, 0.5)):
+            searcher = _Searcher(f, region, DEFAULT_TOL, 2)
+            searcher.admissible = lambda z, structured: complex(z).real < keep
+            searcher.admissible_many = lambda z: z.real < keep
+            for n, count, calls in ((1, 120, 400), (4, 37, 400), (13, 60, 90), (13, 50, 7), (250, 3, 5)):
+                a, b = np.random.default_rng(n), np.random.default_rng(n)
+                want, tried = [], 0
+                while len(want) < count and tried < calls:
+                    tried += 1
+                    pts = []
+                    for _ in range(200):  # one-point draws, as the profiler once made them
+                        if len(pts) == n:
+                            break
+                        z = complex(region.sample(a, 1)[0])
+                        if searcher.admissible(z, structured=False):
+                            pts.append(z)
+                    cfg = np.array(pts, dtype=complex)
+                    if len(pts) == n and searcher.usable(cfg):
+                        want.append(cfg)
+                got = _random_configs(count, n, calls, region, b, searcher)
+                assert len(got) == len(want)
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
+                assert a.random() == b.random()
