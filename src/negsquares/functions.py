@@ -142,7 +142,12 @@ class BlaschkeProduct:
         order: list[complex] = []
         for w, mult in self.zeros:
             w = w if isinstance(w, UnitDiskPoint) else UnitDiskPoint(complex(w))
-            m = int(mult)
+            try:
+                m = int(mult)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"multiplicity must be an integer, got {mult!r}") from exc
+            if m != mult:
+                raise ValidationError(f"multiplicity must be an integer, got {mult!r}")
             if m < 1:
                 raise ValidationError(f"multiplicity must be >= 1, got {m} at {w.value}")
             if w.value not in merged:
@@ -151,7 +156,7 @@ class BlaschkeProduct:
             merged[w.value] += m
         zeros = tuple((UnitDiskPoint(v), merged[v]) for v in order)
         phase = complex(self.phase)
-        if abs(abs(phase) - 1.0) > 1e-12:
+        if not np.isfinite(phase) or abs(abs(phase) - 1.0) > 1e-12:
             raise ValidationError(f"phase must be unimodular, got |{phase}| = {abs(phase):.17g}")
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "phase", phase)
@@ -252,6 +257,8 @@ class SchurPolynomial(SchurPart):
         coeffs = tuple(complex(c) for c in self.coeffs)
         if not coeffs:
             coeffs = (0.0 + 0.0j,)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValidationError(f"polynomial coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
         degree = len(coeffs) - 1
         coeff_sum = float(np.sum(np.abs(coeffs)))
@@ -526,7 +533,7 @@ def _schur_from_node(node: dict) -> SchurPart:
         return SchurPolynomial(tuple(_fromc(c, "poly coefficient") for c in node["coeffs"]))
     if kind == "blaschke":
         zeros = tuple(
-            (UnitDiskPoint(_fromc(item["zero"], "blaschke zero")), int(item["mult"]))
+            (UnitDiskPoint(_fromc(item["zero"], "blaschke zero")), item["mult"])
             for item in node["zeros"]
         )
         phase = _fromc(node.get("phase", [1.0, 0.0]), "blaschke phase")
@@ -562,7 +569,7 @@ def function_from_document(doc: dict) -> StandardFunction:
     try:
         schur = _schur_from_node(doc.get("schur", {"kind": "constant", "value": [1.0, 0.0]}))
         zeros = tuple(
-            (UnitDiskPoint(_fromc(item["zero"], "denominator zero")), int(item["mult"]))
+            (UnitDiskPoint(_fromc(item["zero"], "denominator zero")), item["mult"])
             for item in doc.get("blaschke", [])
         )
         phase = _fromc(doc.get("blaschke_phase", [1.0, 0.0]), "denominator phase")

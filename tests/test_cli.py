@@ -221,8 +221,10 @@ class TestErrors:
             ({"blaschke": [{"zero": [0.5, 0.0], "mult": "two"}]}, []),
             ({"schur": {"kind": "constant", "value": [float("nan"), 0.0]}}, []),
             ({"blaschke_phase": [float("nan"), 0.0]}, []),
+            ({"blaschke": [{"zero": [0.5, 0.0], "mult": 1.5}]}, []),
         ],
-        ids=["budget", "region", "missing-key", "mult", "nan-constant", "nan-phase"],
+        ids=["budget", "region", "missing-key", "mult", "nan-constant", "nan-phase",
+             "fractional-mult"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, change, extra):
         doc = {
@@ -239,3 +241,4 @@ class TestErrors:
     def test_seed_required(self, spec_path, capsys):
         with pytest.raises(SystemExit):
             run(["--spec", spec_path(jump_function(0.0)), "--command", "profile"])
+

@@ -79,6 +79,15 @@ class TestBlaschke:
         with pytest.raises(ValidationError):
             BlaschkeProduct((), 0.5)
 
+    def test_rejects_nan_phase(self):
+        with pytest.raises(ValidationError):
+            BlaschkeProduct((), float("nan"))
+
+    def test_rejects_fractional_multiplicity(self):
+        with pytest.raises(ValidationError, match="integer"):
+            BlaschkeProduct(((UnitDiskPoint(0.5), 1.5),))
+        assert BlaschkeProduct(((UnitDiskPoint(0.5), 2.0),)).degree == 2
+
 
 class TestSchurGrammar:
     def test_constant_bound(self):
@@ -88,6 +97,10 @@ class TestSchurGrammar:
     def test_constant_must_be_finite(self):
         with pytest.raises(ValidationError):
             SchurConstant(float("nan"))
+
+    def test_polynomial_coefficients_must_be_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            SchurPolynomial((float("nan"),))
 
     def test_polynomial_certificate(self):
         SchurPolynomial((0.5, 0.5))  # coefficient sum 1
