@@ -285,8 +285,10 @@ def plateau_classify(
     # every jump lies in the whole disk, so the profile reaches 2 (q + l) + 3 >= q + 2 l
     n_report = _minimal_witness(f, profile, seed, tol) if region.kind == "whole-disk" else None
     if region.kind == "whole-disk" and kappa_hat == q + ell:
-        small_enough = n_attained <= q + 2 * ell
-        large_enough = n_attained >= q + ell or kappa_hat == 0
+        # the witness search attains the count at n_hat even where the profile's onset is later
+        n_seen = min(n_attained, n_report.n_hat)
+        small_enough = n_seen <= q + 2 * ell
+        large_enough = n_seen >= q + ell or kappa_hat == 0
         bound = "ok" if (small_enough and large_enough) else "violated"
     else:
         bound = "n/a"
@@ -332,7 +334,9 @@ def find_N(
     the witness plan (jumps, then pole clusters, then companions) are tried
     across shrinking radii before the generic profile search.  The result
     is an upper bound on the true minimal size, certified exact when it
-    meets the theoretical lower bound q + l.
+    meets the theoretical lower bound q + l.  If no size up to q + 2 l
+    attains the count, the full plan is redrawn at the widest radius up to
+    32 times; ``NumericsError`` is raised when every draw misses.
     """
     q, ell, kappa = f.counts()
     profile = kn_profile(f, q + 2 * ell, None, budget, seed, tol) if kappa else None
@@ -370,9 +374,14 @@ def _minimal_witness(f: StandardFunction, profile, seed: int, tol: TolerancePoli
         row = counts.get(n)
         if row is not None and row.best_count == kappa:
             return NSearchReport(n, kappa, n == q + ell, row.witness)
-    # unreachable for standard functions: the full plan always verifies
-    report = verify_witness(f, witness_plan(f, seed=seed), tol=tol)
-    return NSearchReport(top, kappa, top == q + ell, report.witness)
+    # The full plan attains the count at a wide radius, but its kappa-th
+    # negative eigenvalue decays like eps^3 as the radius shrinks: redraw
+    # the angles at the widest radius instead of shrinking it.
+    for attempt in range(32):
+        cfg = witness_plan(f, eps0, seed + 1000 + attempt).points()
+        if _witness_inertia(f, cfg, kappa, tol).n_neg == kappa:
+            return NSearchReport(top, kappa, top == q + ell, cfg)
+    raise NumericsError(f"no {top}-point witness placement attained the count {kappa} in 32 draws")
 
 
 # ---------------------------------------------------------------------------

@@ -242,3 +242,54 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run(["--spec", spec_path(jump_function(0.0)), "--command", "profile"])
 
+
+
+# benchmark-corpus documents (perfbench/corpus.py, classify workload) whose
+# profile attains the full count only above q + 2 l; keyed by CLI seed
+_LATE_ONSET = {
+    "corpus-12-0-classify-8": (20, {
+        "spec_version": 1,
+        "schur": {"kind": "poly", "coeffs": [[0.6767616631101839, 0.0],
+                                              [-0.0024525475492205256, 0.29525491254272734]]},
+        "blaschke": [{"zero": [0.02450384543643959, -0.18045740611610178], "mult": 2},
+                     {"zero": [-0.25849420988929916, 0.22249842151421534], "mult": 1}],
+        "jumps": [{"at": [0.02450384543643959, -0.18045740611610178],
+                   "value": [-0.9564705995420015, -1.756463490144832]}],
+    }),
+    "corpus-26-0-classify-8": (34, {
+        "spec_version": 1,
+        "schur": {"kind": "poly", "coeffs": [[0.7721944493096953, 0.0],
+                                              [0.06949044923165011, 0.1257009192010243]]},
+        "blaschke": [{"zero": [0.16062085090607783, 0.061702681262233154], "mult": 2},
+                     {"zero": [0.1786036324642276, 0.44871763043874696], "mult": 1}],
+        "jumps": [{"at": [0.16062085090607783, 0.061702681262233154],
+                   "value": [0.6077896052946762, -1.9054111880892644]}],
+    }),
+    "corpus-200-0-classify-9": (209, {
+        "spec_version": 1,
+        "schur": {"kind": "constant", "value": [-0.7219366649382369, -0.20526848948425]},
+        "blaschke": [{"zero": [0.05195662996924265, 0.2915735931962907], "mult": 2},
+                     {"zero": [0.44835538840411976, -0.08131104971346612], "mult": 1}],
+        "jumps": [{"at": [-0.5799510362280608, 0.05337805770154061],
+                   "value": [1.4767431373418851, -1.3487882362749337]},
+                  {"at": [-0.10569431142972534, -0.2449016357540173],
+                   "value": [0.1272473547990171, -0.27167648167747804]}],
+    }),
+}
+
+
+class TestClassifyBoundCheck:
+    @pytest.mark.parametrize("case", sorted(_LATE_ONSET))
+    def test_late_profile_onset_passes_with_the_minimal_witness(self, case, tmp_path, capsys):
+        seed, doc = _LATE_ONSET[case]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert run(["--spec", str(spec), "--command", "classify", "--seed", str(seed)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        q = sum(z["mult"] for z in doc["blaschke"])
+        ell = len(doc["jumps"])
+        n_hat = out["minimal_witness_size"]["n_hat"]
+        assert out["kappa_hat"] == q + ell
+        assert out["bound_check"] == "ok"
+        assert q + ell <= n_hat <= q + 2 * ell
+        assert len(out["minimal_witness_size"]["witness"]) == n_hat
