@@ -126,7 +126,7 @@ class Region:
         angle = (np.angle(z) - self.theta_min) % (2.0 * np.pi)
         return angle < width
 
-    def contains_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _contains_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(``contains`` of every entry of ``z``, entries near the boundary).
 
         Array loops may round a distance or an angle differently in the last
@@ -293,14 +293,13 @@ class _Searcher:
         """
         with np.errstate(all="ignore"):  # B may blow up outside the disk; those entries drop
             b = np.abs(self.f.blaschke.eval(z))
-        inside, near = self.region.contains_many(z)
-        r = np.abs(z)
+        # every region lies inside |z| < 1 - 1e-14, and an undefined pole is a zero of B
+        inside, near = self.region._contains_many(z)
         jump = np.zeros(z.shape, dtype=bool)
         for v in self.jump_values:
             jump |= z == v
-        # an undefined pole is a zero of B, so the floor rejects it
-        ok = (r < 1.0 - 1e-14) & inside & (jump | (b >= _MIN_BLASCHKE_MAGNITUDE))
-        near |= _near(r, 1.0 - 1e-14) | _near(b, _MIN_BLASCHKE_MAGNITUDE)
+        ok = inside & (jump | (b >= _MIN_BLASCHKE_MAGNITUDE))
+        near |= _near(b, _MIN_BLASCHKE_MAGNITUDE)
         for i in np.flatnonzero(near):
             ok[i] = self.admissible(complex(z[i]), structured=False)
         return ok
