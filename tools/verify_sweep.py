@@ -1,14 +1,16 @@
 """Check a benchmark workload over many seeds and print every failing call.
 
     python3 tools/verify_sweep.py classify 0-119 --labels classify-8,classify-9
+    python3 tools/verify_sweep.py classify 600-619 --rounds 0-24
 
-For each seed in FIRST-LAST (inclusive) the calls of rounds 0 and 1 come from
-``perfbench/corpus.py``; a 20 s run of the slow workloads covers about that
-many rounds, so one run samples only a few calls of each label and a rare
-failure goes unseen.  Each call runs ``negsquares.cli.main`` in this process
-against the ``src/`` of this checkout and is checked by ``perfbench/verify.py``.
-Both perfbench modules are imported and never modified.  ``--labels`` keeps
-only the calls with those labels.  Prints one line per failing call and a
+For each seed in FIRST-LAST (inclusive) the calls of rounds 0 and 1 (or of
+``--rounds``) come from ``perfbench/corpus.py``.  One 20 s run samples only
+a few rounds of a seed, so a failure on a few positions in a thousand goes
+unseen there; the faster a workload runs, the more rounds a run covers.
+Each call runs ``negsquares.cli.main`` in this process against the ``src/``
+of this checkout and is checked by ``perfbench/verify.py``.  Both perfbench
+modules are imported and never modified.  ``--labels`` keeps only the calls
+with those labels.  Prints one line per failing call and a
 summary; exits 1 on any failure.
 """
 
@@ -26,7 +28,6 @@ from same_stdout import load_cli  # sets the benchmark's BLAS threads first
 import corpus  # noqa: E402  (perfbench/, put on the path by same_stdout)
 import verify  # noqa: E402
 
-ROUNDS = range(2)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -35,7 +36,7 @@ def parse_seeds(text: str) -> range:
         first, last = text.split("-")
         return range(int(first), int(last) + 1)
     except ValueError:
-        raise SystemExit(f"error: seeds {text!r} are not FIRST-LAST") from None
+        raise SystemExit(f"error: {text!r} is not FIRST-LAST") from None
 
 
 def failure(cli, inv, path: Path) -> str | None:
@@ -59,6 +60,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=corpus.WORKLOADS)
     parser.add_argument("seeds", type=parse_seeds, help="FIRST-LAST, inclusive")
+    parser.add_argument("--rounds", type=parse_seeds, default=range(2), help="FIRST-LAST, inclusive")
     parser.add_argument("--labels", default=None, help="comma-separated call labels to keep")
     args = parser.parse_args(argv)
     labels = set(args.labels.split(",")) if args.labels else None
@@ -66,7 +68,7 @@ def main(argv=None) -> int:
     calls = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
-            for rnd in ROUNDS:
+            for rnd in args.rounds:
                 invs = [inv for inv in corpus.build(args.workload, seed, rnd)
                         if labels is None or inv.label in labels]
                 paths = corpus.write_specs(invs, Path(tmp) / f"{seed}-{rnd}")
