@@ -258,7 +258,8 @@ def plateau_classify(
     Profiles up to n = 2 * expected + 3 where the expected plateau is the
     pole count plus the jumps inside the region.  The class estimate is the
     final profile value provided the last four sizes agree (a width-3
-    plateau); anything still rising is reported inconclusive rather than
+    plateau).  A profile still rising there is extended by four sizes
+    once; anything still rising then is reported inconclusive rather than
     guessed.  Cross-checks that the doubled size already attains the value.
     On the whole disk the profile also serves ``find_N``, whose report is
     kept as ``minimal_witness``.
@@ -267,11 +268,14 @@ def plateau_classify(
     q, ell, _ = f.counts()
     ell_region = sum(1 for z in f.jump_points() if region.contains(z))
     expected = q + ell_region
-    n_max = 2 * expected + 3
-    profile = kn_profile(f, n_max, region, budget, seed, tol)
-    counts = {row.n: row.best_count for row in profile.rows}
-    counts[0] = 0
-    tail = [counts[n] for n in range(n_max - 3, n_max + 1)]
+    # rows depend only on their size, so the longer profile extends the shorter
+    for n_max in (2 * expected + 3, 2 * expected + 7):
+        profile = kn_profile(f, n_max, region, budget, seed, tol)
+        counts = {row.n: row.best_count for row in profile.rows}
+        counts[0] = 0
+        tail = [counts[n] for n in range(n_max - 3, n_max + 1)]
+        if len(set(tail)) == 1:
+            break
 
     if len(set(tail)) != 1:
         return ClassificationReport(

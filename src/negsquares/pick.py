@@ -25,6 +25,7 @@ from .hermitian import (
     TolerancePolicy,
     ValidationError,
     _spectrum,
+    equilibrated_inertia,
 )
 
 __all__ = [
@@ -518,6 +519,7 @@ def kn_profile(
                 if cfg is not None:
                     candidates.append(cfg)
 
+        structured = len(candidates)
         if prev_witness is not None:
             for _ in range(4):
                 cfg = _pad_to_n(list(prev_witness), n, region, rng, searcher)
@@ -567,6 +569,16 @@ def kn_profile(
                     best_count = s[0]
                     break
             best_count = max(best_count, prev_best)
+        if best_count < kappa and n >= q + 2 * ell and region.kind == "whole-disk":
+            # q + 2l nodes of the disk attain kappa.  Where the plain count
+            # misses, pole clusters have pushed a negative eigenvalue under the
+            # relative threshold: count the structured candidates after the
+            # Jacobi equilibration that witness verification uses.
+            for cfg in candidates[:structured]:
+                samples += 1
+                if equilibrated_inertia(HermitianMatrix(pick_entries(f.eval_many(cfg), cfg)), tol).n_neg == kappa:
+                    best_count, best_cfg = kappa, cfg
+                    break
         rows.append(
             ProfileRow(
                 n=n,

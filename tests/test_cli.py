@@ -245,8 +245,9 @@ class TestErrors:
 
 
 # benchmark-corpus documents (perfbench/corpus.py, classify workload) whose
-# profile attains the full count only above q + 2 l; keyed by CLI seed
-_LATE_ONSET = {
+# profile attains the full count only above q + 2 l, or (the last one) not
+# at all under the plain eigenvalue count; with the CLI seed of each call
+_SHORT_PROFILES = {
     "corpus-12-0-classify-8": (20, {
         "spec_version": 1,
         "schur": {"kind": "poly", "coeffs": [[0.6767616631101839, 0.0],
@@ -275,13 +276,23 @@ _LATE_ONSET = {
                   {"at": [-0.10569431142972534, -0.2449016357540173],
                    "value": [0.1272473547990171, -0.27167648167747804]}],
     }),
+    "corpus-610-16-classify-9": (16619, {
+        "spec_version": 1,
+        "schur": {"kind": "constant", "value": [-0.5062191502900942, -0.6407843137124617]},
+        "blaschke": [{"zero": [-0.16813399117996233, 0.24246039907060257], "mult": 2},
+                     {"zero": [0.08897832512080513, 0.5859614237584265], "mult": 1}],
+        "jumps": [{"at": [0.036191761782816606, -0.5397151673722663],
+                   "value": [-0.6384657561745609, 1.8953525999645675]},
+                  {"at": [-0.484155480361245, -0.14710115656221362],
+                   "value": [-0.1909919837768985, 0.23134835666795847]}],
+    }),
 }
 
 
-class TestClassifyBoundCheck:
-    @pytest.mark.parametrize("case", sorted(_LATE_ONSET))
-    def test_late_profile_onset_passes_with_the_minimal_witness(self, case, tmp_path, capsys):
-        seed, doc = _LATE_ONSET[case]
+class TestClassifyShortProfiles:
+    @pytest.mark.parametrize("case", sorted(_SHORT_PROFILES))
+    def test_short_profile_passes_with_the_minimal_witness(self, case, tmp_path, capsys):
+        seed, doc = _SHORT_PROFILES[case]
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert run(["--spec", str(spec), "--command", "classify", "--seed", str(seed)]) == 0
@@ -293,3 +304,22 @@ class TestClassifyBoundCheck:
         assert out["bound_check"] == "ok"
         assert q + ell <= n_hat <= q + 2 * ell
         assert len(out["minimal_witness_size"]["witness"]) == n_hat
+
+    def test_profile_still_rising_at_the_last_size_is_extended(self, tmp_path, capsys):
+        # corpus seed 619 round 14, classify-pair-near-jump: inside the disk
+        # around the jump, the pole's negative appears only at n = 5 of 7
+        doc = {
+            "spec_version": 1,
+            "schur": {"kind": "constant", "value": [-0.565768123963791, 0.2651377852395373]},
+            "blaschke": [{"zero": [0.5199474521996188, 0.03805639968088431], "mult": 1}],
+            "jumps": [{"at": [-0.5712517689462296, 0.10973475918627823],
+                       "value": [-1.7311251230830011, -1.001601621519686]}],
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        region = "disk,-0.5712517689462296,0.10973475918627823,0.15"
+        argv = ["--spec", str(spec), "--command", "classify", "--seed", "14630", "--region", region]
+        assert run(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["kappa_hat"] == 2 and not out["inconclusive"]
+        assert len(out["profile"]["rows"]) == 11
