@@ -347,7 +347,9 @@ def find_N(
     return _minimal_witness(f, profile, seed, tol)
 
 
-def _minimal_witness(f: StandardFunction, profile, seed: int, tol: TolerancePolicy) -> NSearchReport:
+def _minimal_witness(
+    f: StandardFunction, profile, seed: int, tol: TolerancePolicy
+) -> NSearchReport:
     """``find_N`` on a whole-disk profile of ``f`` reaching at least q + 2 l.
 
     A profile row depends only on its size and on the seed, budget and

@@ -44,7 +44,9 @@ __all__ = [
 _MIN_BLASCHKE_MAGNITUDE = 1e-8  # admissibility floor for unstructured nodes near poles
 _RANDOM_SEPARATION = 1e-8
 _PLACEMENT_SCALES = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # epsilons of the structured candidates
-_STACK_ENTRIES = 16384  # complex entries per stacked temporary; numpy rounds larger ones differently
+# complex entries per stacked temporary: under the 16384 at which numpy's rounding
+# changes, and small enough to leave peak memory as it was
+_STACK_ENTRIES = 4096
 
 
 def _near(x: np.ndarray, t: float) -> np.ndarray:
@@ -435,8 +437,10 @@ def _pad_to_n(base: list[complex], n: int, region: Region, rng: np.random.Genera
     return config if searcher.usable(config) else None
 
 
-def _random_configs(count: int, n: int, calls: int, region: Region, rng: np.random.Generator, searcher) -> list[np.ndarray]:
-    """The configurations of ``_pad_to_n([], n, ...)`` called until ``count`` succeed, at most ``calls`` times.
+def _random_configs(
+    count: int, n: int, calls: int, region: Region, rng: np.random.Generator, searcher
+) -> list[np.ndarray]:
+    """What ``_pad_to_n([], n, ...)`` gives, called until ``count`` succeed or ``calls`` are spent.
 
     One block of draws serves many calls.  The calls are read off its
     admissible draws, then the stream is rewound to the end of the last call
@@ -445,7 +449,8 @@ def _random_configs(count: int, n: int, calls: int, region: Region, rng: np.rand
     found: list[np.ndarray] = []
     while len(found) < count and calls > 0:
         state = rng.bit_generator.state
-        k = max(min(count - len(found), _STACK_ENTRIES // n**2) * n, 200)  # a call takes <= 200 draws
+        # enough draws for every missing configuration; one call takes at most 200
+        k = max(min(count - len(found), _STACK_ENTRIES // n**2) * n, 200)
         r = rng.random(2 * k)
         z = region._points(r[0::2], r[1::2])
         hits = np.flatnonzero(searcher.admissible_many(z))
@@ -489,7 +494,9 @@ def kn_profile(
     Search strategy per size n: structured candidates placed at the jumps
     and poles of ``f`` intersecting the region, the previous witness carried
     forward with one appended node (so the profile is monotone), quasi-random
-    configurations, then coordinatewise hill climbing on the leaders.
+    configurations, then coordinatewise hill climbing on the leaders.  On
+    the whole disk, a size n >= q + 2 l still short of q + l recounts its
+    structured candidates after Jacobi equilibration.
     Deterministic for a fixed seed.  A plateau is recorded at the first n
     whose count survives three further size increments.
     """
@@ -526,9 +533,8 @@ def kn_profile(
                 if cfg is not None:
                     candidates.append(cfg)
 
-        candidates += _random_configs(
-            budget.configurations - len(candidates), n, 20 * budget.configurations, region, rng, searcher
-        )
+        missing = budget.configurations - len(candidates)
+        candidates += _random_configs(missing, n, 20 * budget.configurations, region, rng, searcher)
         if len(candidates) < budget.configurations:
             exhausted = True
 
@@ -576,7 +582,8 @@ def kn_profile(
             # Jacobi equilibration that witness verification uses.
             for cfg in candidates[:structured]:
                 samples += 1
-                if equilibrated_inertia(HermitianMatrix(pick_entries(f.eval_many(cfg), cfg)), tol).n_neg == kappa:
+                matrix = HermitianMatrix(pick_entries(f.eval_many(cfg), cfg))
+                if equilibrated_inertia(matrix, tol).n_neg == kappa:
                     best_count, best_cfg = kappa, cfg
                     break
         rows.append(
