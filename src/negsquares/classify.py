@@ -15,6 +15,7 @@ import numpy as np
 from .functions import PointConfig, StandardFunction
 from .hermitian import (
     DEFAULT_TOL,
+    EigenSolverError,
     HermitianMatrix,
     Inertia,
     NumericsError,
@@ -22,7 +23,6 @@ from .hermitian import (
     ValidationError,
     _spectrum,
     equilibrated_inertia,
-    inertia,
 )
 from .pick import (
     Region,
@@ -429,59 +429,74 @@ def hindmarsh_test(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
 
     structural: list[complex] = []
+    evaluate = f.eval if isinstance(f, StandardFunction) else f
     if isinstance(f, StandardFunction):
-        evaluate = f.eval
-        for z in f.jump_points():
-            if region.contains(z) and f.is_defined_at(z):
-                structural.append(z)
+        structural = [z for z in f.jump_points() if region.contains(z) and f.is_defined_at(z)]
         for w, mult in f.pole_points():
             for radius in (1e-2, 1e-3, 1e-4):
                 for _ in range(mult + 1):
                     c = w + radius * np.exp(2j * np.pi * rng.random())
                     if region.contains(c) and f.is_defined_at(c):
                         structural.append(c)
-    else:
-        evaluate = f
 
-    pool_size = max(64, min(triples, 4096))
-    pool = list(region.sample(rng, pool_size))
-    if len(pool) + len(structural) < 3:
+    pool = region.sample(rng, max(64, min(triples, 4096)))
+    nodes = np.concatenate([pool, np.array(structural, dtype=complex)])
+    n_pool, n_struct = len(pool), len(structural)
+    if len(nodes) < 3:
         raise ValidationError("need at least 3 admissible sample points in the region")
+    # triples are rows of node indices, structural ones first: violations concentrate there
+    s = np.arange(n_struct)
+    opening = np.column_stack([n_pool + s, 2 * s % n_pool, (2 * s + 1) % n_pool])
 
-    def triple_stream():
-        # structural points first: violations concentrate at jumps and poles
-        for i, s in enumerate(structural):
-            yield [s, pool[(2 * i) % len(pool)], pool[(2 * i + 1) % len(pool)]]
-        while True:
-            picks = []
-            while len(picks) < 3:
-                if structural and rng.random() < 0.25:
-                    picks.append(structural[int(rng.integers(len(structural)))])
-                else:
-                    picks.append(pool[int(rng.integers(len(pool)))])
-            yield picks
+    def draw(k: int) -> np.ndarray:
+        nonlocal opening
+        if not n_struct:  # the stream is rng.integers alone: one block call draws the same
+            return rng.integers(n_pool, size=3 * k).reshape(k, 3)
+        rows, opening = opening[:k], opening[k:]
+        k -= len(rows)
+        picks = [n_pool + int(rng.integers(n_struct)) if rng.random() < 0.25
+                 else int(rng.integers(n_pool)) for _ in range(3 * k)]
+        return np.concatenate([rows, np.array(picks, dtype=int).reshape(k, 3)])
 
-    tested = failed = 0
-    for picks in triple_stream():
-        if tested >= triples:
-            break
-        cfg = np.array(picks, dtype=complex)
-        d = np.abs(cfg[:, None] - cfg[None, :])[np.triu_indices(3, 1)]
-        if float(np.min(d)) < 1e-12:
-            continue
+    def first_violation(mats: np.ndarray, offset: int = 0):
+        w, tau = _spectrum(mats, tol)
+        neg = np.flatnonzero(np.any(w < -tau[:, None], axis=1))
+        return (offset + int(neg[0]), float(w[neg[0], 0])) if len(neg) else None
+
+    vals = np.zeros(len(nodes), dtype=complex)
+    seen, bad = np.zeros((2, len(nodes)), dtype=bool)
+    errors: dict[int, Exception] = {}
+    tested, failed, size = 0, 0, 1
+    while tested < triples:
+        rows = draw(min(size, triples - tested))
+        size = min(2 * size, 455)  # a stack of 455 3x3 matrices stays within 4096 entries
+        z = nodes[rows]
+        rows = rows[np.min(np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]), axis=1) >= 1e-12]
+        for i in np.unique(rows[~seen[rows]]):  # each node is evaluated once, when first used
+            seen[i] = True
+            try:
+                vals[i] = complex(evaluate(nodes[i]))
+            except Exception as exc:  # f may be undefined on a thin set: skip its triples
+                bad[i], errors[i] = True, exc
+        if bad[rows].any():  # count failed triples in stream order; the triples-th ends the scan
+            kept = []
+            for r, row in enumerate(rows):
+                if not bad[row].any():
+                    kept.append(r)
+                elif (failed := failed + 1) >= triples:
+                    stop = errors[row[bad[row]][0]]
+                    break
+            rows = rows[kept]
+        z = nodes[rows]
+        mats = pick_entries(vals[rows], z)
         try:
-            vals = np.array([complex(evaluate(z)) for z in cfg])
-        except Exception as exc:  # the function may be undefined on a thin set: skip the triple
-            failed += 1
-            if failed >= triples:
-                raise NumericsError(f"{failed} evaluations failed, last: {exc!r}") from exc
-            continue
-        tested += 1
-        matrix = HermitianMatrix(pick_entries(vals, cfg))
-        ine = inertia(matrix, tol)
-        if ine.n_neg > 0:
-            w, _ = _spectrum(matrix.entries, tol)
-            return HindmarshReport(
-                False, tested, PointConfig.from_complex(cfg), float(w[0])
-            )
+            hit = first_violation(mats)
+        except EigenSolverError:  # LAPACK failed on one matrix: solve one at a time up to it
+            hit = next(filter(None, map(first_violation, mats[:, None], range(len(mats)))), None)
+        if hit is not None:
+            r, lowest = hit
+            return HindmarshReport(False, tested + r + 1, PointConfig.from_complex(z[r]), lowest)
+        tested += len(rows)
+        if failed >= triples:
+            raise NumericsError(f"{failed} evaluations failed, last: {stop!r}") from stop
     return HindmarshReport(True, tested, None, None)

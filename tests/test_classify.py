@@ -21,6 +21,10 @@ from negsquares import (
     verify_witness,
     witness_plan,
 )
+from negsquares.classify import HindmarshReport
+from negsquares.functions import PointConfig
+from negsquares.hermitian import DEFAULT_TOL, HermitianMatrix, _spectrum, inertia
+from negsquares.pick import pick_entries
 from conftest import (
     example_sharp,
     jump_function,
@@ -215,6 +219,123 @@ class TestFindN:
         assert high.n_hat == high.kappa + high.kappa  # q + 2l with q=0, l=1
 
 
+def _sequential_hindmarsh(f, region=None, triples=10_000, seed=0, tol=DEFAULT_TOL):
+    """The one-triple-at-a-time scan the blocked ``hindmarsh_test`` must reproduce."""
+    region = region or Region.whole_disk()
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
+
+    structural = []
+    if isinstance(f, StandardFunction):
+        evaluate = f.eval
+        for z in f.jump_points():
+            if region.contains(z) and f.is_defined_at(z):
+                structural.append(z)
+        for w, mult in f.pole_points():
+            for radius in (1e-2, 1e-3, 1e-4):
+                for _ in range(mult + 1):
+                    c = w + radius * np.exp(2j * np.pi * rng.random())
+                    if region.contains(c) and f.is_defined_at(c):
+                        structural.append(c)
+    else:
+        evaluate = f
+
+    pool = list(region.sample(rng, max(64, min(triples, 4096))))
+
+    def triple_stream():
+        for i, s in enumerate(structural):
+            yield [s, pool[(2 * i) % len(pool)], pool[(2 * i + 1) % len(pool)]]
+        while True:
+            picks = []
+            while len(picks) < 3:
+                if structural and rng.random() < 0.25:
+                    picks.append(structural[int(rng.integers(len(structural)))])
+                else:
+                    picks.append(pool[int(rng.integers(len(pool)))])
+            yield picks
+
+    tested = failed = 0
+    for picks in triple_stream():
+        if tested >= triples:
+            break
+        cfg = np.array(picks, dtype=complex)
+        d = np.abs(cfg[:, None] - cfg[None, :])[np.triu_indices(3, 1)]
+        if float(np.min(d)) < 1e-12:
+            continue
+        try:
+            vals = np.array([complex(evaluate(z)) for z in cfg])
+        except Exception as exc:
+            failed += 1
+            if failed >= triples:
+                raise NumericsError(f"{failed} evaluations failed, last: {exc!r}") from exc
+            continue
+        tested += 1
+        matrix = HermitianMatrix(pick_entries(vals, cfg))
+        if inertia(matrix, tol).n_neg > 0:
+            w, _ = _spectrum(matrix.entries, tol)
+            return HindmarshReport(False, tested, PointConfig.from_complex(cfg), float(w[0]))
+    return HindmarshReport(True, tested, None, None)
+
+
+def _scan_outcome(scan, f, **kwargs):
+    """Every field of a scan report, floats as hex, or the type and message it raised."""
+    try:
+        rep = scan(f, **kwargs)
+    except NumericsError as exc:
+        return ("raised", type(exc).__name__, str(exc), repr(exc.__cause__))
+    points = None if rep.violation is None else [p.value for p in rep.violation]
+    lowest = None if rep.most_negative is None else rep.most_negative.hex()
+    return (rep.consistent, type(rep.triples_tested), rep.triples_tested, points, lowest)
+
+
+def _raises_on_right_half(z):
+    if z.real > 0:
+        raise ValueError(f"undefined at {complex(z)}")
+    return 1.5 if abs(z + 0.5) < 0.2 else 0.5 * z  # a few triples violate, most fail
+
+
+def _infinite_on_right(z):
+    if z.real > 0.3:
+        return complex("inf")  # the eigensolver fails on such a triple
+    return 3.0 if z.real < -0.3 and z.imag > 0.3 else 0.0
+
+
+def _raises_near_circle(z):
+    if abs(z) > 0.95:
+        raise ZeroDivisionError("outside the disk of radius 0.95")
+    return 0.3 * z * z
+
+
+_REFERENCE_CASES = {
+    "bounded": (lambda: schur_only(SchurConstant(0.7)), {"triples": 1500}),
+    "jump": (lambda: jump_function(0.0), {"triples": 2000}),
+    "mild-jump": (  # violating triples need a pool point near the jump: a late exit
+        lambda: StandardFunction.build(
+            SchurConstant(0.0), BlaschkeProduct.identity(), jumps=((UnitDiskPoint(0.7), 0.3),)
+        ),
+        {"triples": 2000},
+    ),
+    "simple-pole": (lambda: example_sharp(1), {"triples": 2000}),
+    "double-pole": (lambda: quotient(SchurConstant(1.0), [(0.5, 2)]), {"triples": 2000}),
+    "pole-near-circle": (lambda: quotient(SchurConstant(0.05), [(0.95, 1)]), {"triples": 2000}),
+    "jump-on-pole": (
+        lambda: StandardFunction.build(
+            SchurConstant(0.8),
+            BlaschkeProduct(((UnitDiskPoint(0.3), 1),)),
+            jumps=((UnitDiskPoint(0.3), 0.5),),
+        ),
+        {"triples": 2000},
+    ),
+    "disk-around-nothing": (
+        lambda: jump_function(0.0), {"region": Region.disk(0.5, 0.2), "triples": 600}
+    ),
+    "annulus-reciprocal": (
+        lambda: quotient(SchurConstant(1.0), [(0.0, 1)]),
+        {"region": Region.annulus_sector(0.2, 0.8, 0.0, 2 * np.pi), "triples": 500},
+    ),
+    "callable-raising": (lambda: _raises_near_circle, {"triples": 700}),
+}
+
+
 class TestHindmarsh:
     def test_schur_consistent(self, rng):
         part = nonvanishing_schur_part(rng)
@@ -248,6 +369,40 @@ class TestHindmarsh:
     def test_callable_interface(self):
         report = hindmarsh_test(lambda z: 0.5 * z, triples=500, seed=8)
         assert report.consistent
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_matches_sequential_scan(self, case, seed):
+        make, kwargs = _REFERENCE_CASES[case]
+        f = make()
+        got = _scan_outcome(hindmarsh_test, f, seed=seed, **kwargs)
+        assert got == _scan_outcome(_sequential_hindmarsh, f, seed=seed, **kwargs)
+        assert got[1] is int
+
+    @pytest.mark.parametrize("size", [64, 1000, 4096])
+    def test_block_draws_equal_scalar_draws(self, size):
+        blocks = [1, 2, 4, 8, 16, 32, 64, 128, 256, 455, 455, 3, 455, 1, 100]
+        block_rng, scalar_rng = np.random.default_rng(size), np.random.default_rng(size)
+        for k in blocks:
+            got = block_rng.integers(size, size=3 * k)
+            want = [int(scalar_rng.integers(size)) for _ in range(3 * k)]
+            assert got.tolist() == want
+        assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_failures_counted_in_stream_order(self, seed):
+        got = _scan_outcome(hindmarsh_test, _raises_on_right_half, triples=50, seed=seed)
+        want = _scan_outcome(_sequential_hindmarsh, _raises_on_right_half, triples=50, seed=seed)
+        assert got == want
+        if got[0] == "raised":
+            assert got[2].startswith("50 evaluations failed, last: ValueError")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the Pick assembly
+    @pytest.mark.parametrize("seed", [0, 12, 48])
+    def test_eigensolver_failure_stops_in_stream_order(self, seed):
+        # seeds 12 and 48 violate on a triple scored in a block before one that LAPACK rejects
+        got = _scan_outcome(hindmarsh_test, _infinite_on_right, triples=20, seed=seed)
+        assert got == _scan_outcome(_sequential_hindmarsh, _infinite_on_right, triples=20, seed=seed)
 
     def test_always_failing_callable_raises(self):
         def broken(z):

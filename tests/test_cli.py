@@ -182,6 +182,38 @@ class TestHindmarshCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["consistent"] is False
 
+    def test_violation_report_csv(self, spec_path, capsys):
+        code = run(
+            [
+                "--spec", spec_path(jump_function(0.0)),
+                "--command", "hindmarsh",
+                "--seed", "5",
+                "--format", "csv",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "key,value"
+        rows = dict(line.split(",", 1) for line in lines[1:])
+        assert rows["consistent"] == "False"
+        assert int(rows["triples_tested"]) >= 1 and rows["triples_tested"].isdigit()
+        assert float(rows["most_negative"]) < 0 and rows["violation"].startswith("[[")
+
+    def test_consistent_report(self, spec_path, capsys):
+        code = run(
+            [
+                "--spec", spec_path(schur_only(SchurConstant(0.5))),
+                "--command", "hindmarsh",
+                "--seed", "5",
+                "--budget", "1000,40",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["consistent"] is True
+        assert doc["triples_tested"] == 1000 and type(doc["triples_tested"]) is int
+        assert doc["violation"] is None and doc["most_negative"] is None
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
