@@ -472,7 +472,7 @@ def hindmarsh_test(
         size = min(2 * size, 455)  # a stack of 455 3x3 matrices stays within 4096 entries
         z = nodes[rows]
         rows = rows[np.min(np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]), axis=1) >= 1e-12]
-        for i in np.unique(rows[~seen[rows]]):  # each node is evaluated once, when first used
+        for i in dict.fromkeys(rows[~seen[rows]].tolist()):  # each node once, at first use
             seen[i] = True
             try:
                 vals[i] = complex(evaluate(nodes[i]))
