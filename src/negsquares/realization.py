@@ -12,7 +12,8 @@ which is J-unitary on the circle and reproduces the kernel through
 
 The linear-fractional transform with coefficient matrix Theta links f to a
 Schur parameter sigma and back.  Blaschke products get the analogous
-one-sided realization from a Jordan state matrix and a Stein solution.
+one-sided realization from a cascade of unitary degree-one sections, whose
+Gram matrix is the identity.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .hermitian import (
     DEFAULT_TOL,
     HermitianMatrix,
     NumericsError,
-    SteinData,
     TolerancePolicy,
     ValidationError,
     _spectrum,
-    solve_stein,
 )
 from .pick import build_pick
 
@@ -191,20 +190,14 @@ def reconstruct_f(theta: ThetaRealization, sigma_value: complex, z) -> complex:
 # Blaschke realizations
 
 
-def _lower_jordan(a: complex, r: int) -> np.ndarray:
-    return np.diag(np.full(r, a, dtype=complex)) + (
-        np.diag(np.ones(r - 1), -1) if r > 1 else 0.0
-    )
-
-
 @dataclass(frozen=True)
 class BlaschkeRealization:
     """One-sided realization of a normalized finite Blaschke product.
 
-    The state matrix stacks lower Jordan blocks at the zeros, the input
-    vector stacks leading unit vectors, and the Gram matrix solves
-    K - A K A* = E E*.  Observability of the pair makes K positive definite.
-    Evaluation reproduces the product normalized to take the value 1 at 1.
+    The Gram matrix K solves K - A K A* = E E*; observability of the pair
+    makes it positive definite.  Evaluation reproduces the product
+    normalized to take the value 1 at 1.  ``realize_blaschke`` builds the
+    orthonormal (Takenaka-Malmquist) coordinates, in which K is the identity.
     """
 
     zeros: tuple[tuple[UnitDiskPoint, int], ...]
@@ -258,26 +251,26 @@ class BlaschkeRealization:
 def realize_blaschke(zeros) -> BlaschkeRealization:
     """Realize the value-1-at-1 Blaschke product with the given zeros.
 
-    ``zeros`` is an iterable of (point, multiplicity); the state matrix is
-    the block diagonal of lower Jordan blocks, one per distinct zero.
+    ``zeros`` is an iterable of (point, multiplicity).  Each zero w, counted
+    with multiplicity, contributes the unitary section [[conj(w), s], [s, -w]]
+    with s = sqrt(1 - |w|^2), and the sections are connected in series (the
+    Takenaka-Malmquist basis).  The cascade's colligation, with state matrix
+    A_c and output row C_c, is unitary, so A = A_c*, E = conj(C_c) and K = I
+    satisfy K - A K A* = E E* exactly: no Stein equation is solved.
     """
     product = BlaschkeProduct(tuple(zeros), 1.0)  # merges duplicates, validates
     if product.degree == 0:
         raise ValidationError("realization needs at least one zero")
-    blocks = []
-    evecs = []
-    for w, mult in product.zeros:
-        blocks.append(_lower_jordan(w.value, mult))
-        unit = np.zeros(mult, dtype=complex)
-        unit[0] = 1.0
-        evecs.append(unit)
-    n = sum(b.shape[0] for b in blocks)
-    a = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for b in blocks:
-        r = b.shape[0]
-        a[pos : pos + r, pos : pos + r] = b
-        pos += r
-    e = np.concatenate(evecs)
-    k = solve_stein(SteinData(a, HermitianMatrix(np.outer(e, e.conj()))))
-    return BlaschkeRealization(product.zeros, a, e, k)
+    ws = [w.value for w, mult in product.zeros for _ in range(mult)]
+    n = len(ws)
+    a_c = np.zeros((n, n), dtype=complex)
+    c_c = np.zeros(n, dtype=complex)
+    for i, w in enumerate(ws):
+        # section i takes the output of sections 0..i-1 as its input
+        s = np.sqrt(1.0 - abs(w) ** 2)
+        a_c[i, :i] = s * c_c[:i]
+        a_c[i, i] = np.conj(w)
+        c_c[:i] *= -w
+        c_c[i] = s
+    k = HermitianMatrix(np.eye(n, dtype=complex))
+    return BlaschkeRealization(product.zeros, a_c.conj().T, c_c.conj(), k)

@@ -35,6 +35,13 @@ def quotient(part, zeros) -> StandardFunction:
     return krein_langer_quotient(part, BlaschkeProduct(tuple(zeros), 1.0))
 
 
+def random_zeros(n: int, radius: float, seed: int):
+    """n simple zeros drawn uniformly from the disk of the given radius."""
+    rng = np.random.default_rng(seed)
+    pts = radius * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return tuple((UnitDiskPoint(complex(w)), 1) for w in pts)
+
+
 def example_sharp(n: int) -> StandardFunction:
     """Monomial of degree n over the Blaschke factor at one half."""
     coeffs = [0.0] * n + [1.0]

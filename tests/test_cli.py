@@ -6,7 +6,7 @@ import pytest
 
 from negsquares import dump_function
 from negsquares.cli import main
-from conftest import example_sharp, jump_function, quotient, schur_only
+from conftest import example_sharp, jump_function, quotient, random_zeros, schur_only
 from negsquares import SchurConstant
 
 
@@ -144,10 +144,17 @@ class TestVerifyCommands:
         assert doc["ok"] is True
         assert doc["j_unitarity_residual"] <= 1e-10
 
-    def test_verify_blaschke(self, spec_path, capsys):
+    @pytest.mark.parametrize(
+        "zeros, degree",
+        [
+            pytest.param([(0.5, 2)], 2, id="double-half"),
+            pytest.param(random_zeros(16, 0.7, 161), 16, id="random-16"),
+        ],
+    )
+    def test_verify_blaschke(self, spec_path, capsys, zeros, degree):
         code = run(
             [
-                "--spec", spec_path(quotient(SchurConstant(1.0), [(0.5, 2)])),
+                "--spec", spec_path(quotient(SchurConstant(1.0), zeros)),
                 "--command", "verify-blaschke",
                 "--seed", "12",
             ]
@@ -155,7 +162,7 @@ class TestVerifyCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
-        assert doc["degree"] == 2
+        assert doc["degree"] == degree
         assert doc["product_agreement"] <= 1e-10
 
     def test_verify_blaschke_needs_zeros(self, spec_path, capsys):

@@ -24,7 +24,7 @@ from negsquares import (
     stein_series_sum,
     theta_kernel_residual,
 )
-from conftest import jump_function, schur_only
+from conftest import jump_function, random_zeros, schur_only
 
 
 def theta_zero_at_origin():
@@ -203,8 +203,9 @@ class TestBlaschkeRealization:
             assert abs(real.eval(z) - z) < 1e-14
 
     def test_half_factor_normalization(self):
+        # orthonormal cascade coordinates: the Gram matrix is exactly I
         real = realize_blaschke(((UnitDiskPoint(0.5), 1),))
-        assert abs(real.k.entries[0, 0] - 4.0 / 3.0) < 1e-12
+        assert np.array_equal(real.k.entries, np.eye(1))
         assert abs(real.eval(1.0) - 1.0) < 1e-12
 
     def test_double_zero_matches_product(self):
@@ -224,6 +225,40 @@ class TestBlaschkeRealization:
         real = realize_blaschke(((UnitDiskPoint(0.4j), 2), (UnitDiskPoint(0.1), 1)))
         series = stein_series_sum(real.a, np.outer(real.e, real.e.conj()))
         assert np.max(np.abs(series - real.k.entries)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            pytest.param(random_zeros(8, 0.7, 81), id="random-8"),
+            pytest.param(random_zeros(16, 0.7, 161), id="random-16"),
+            pytest.param(random_zeros(24, 0.7, 241), id="random-24"),
+            pytest.param(random_zeros(100, 0.7, 1001), id="random-100"),
+            pytest.param(
+                tuple((UnitDiskPoint(0.9 * np.exp(2j * np.pi * (k + 0.3) / 48)), 1) for k in range(48)),
+                id="ring-48",
+            ),
+            pytest.param(
+                ((UnitDiskPoint(0.6 - 0.2j), 3),) + random_zeros(9, 0.7, 93),
+                id="triple-and-random-9",
+            ),
+        ],
+    )
+    def test_accuracy_at_high_degree(self, zeros):
+        # the thresholds of the verify-blaschke command, plus the Stein identity itself
+        real = realize_blaschke(zeros)
+        samples = disk_samples(200, radius=0.95)
+        ref = np.asarray(BlaschkeProduct.normalized(zeros).eval(samples))
+        agree = max(
+            abs(real.eval(z) - want) / max(1.0, abs(want)) for z, want in zip(samples, ref)
+        )
+        assert agree <= 1e-10
+        kernel = max(real.kernel_residual(z, w) for z in samples[:10] for w in samples[10:20])
+        assert kernel <= 1e-10
+        gram = np.outer(real.e, real.e.conj())
+        series = stein_series_sum(real.a, gram)
+        assert np.max(np.abs(series - real.k.entries)) <= 1e-11
+        k = real.k.entries
+        assert np.max(np.abs(k - real.a @ k @ real.a.conj().T - gram)) <= 1e-13
 
     def test_degree_by_winding(self):
         # argument-principle zero count on a near-boundary circle
