@@ -418,8 +418,14 @@ def hindmarsh_test(
     region-uniform draws with the structural points of a standard function
     (jump points and pole-adjacent rings), since violations concentrate
     there.  ``f`` may be a standard function or a plain callable; triples
-    whose evaluation raises are skipped, and after ``triples`` such skips
-    the scan raises ``NumericsError`` instead of running on.
+    whose evaluation raises or gives a non-finite value are skipped, and
+    after ``triples`` such skips the scan raises ``NumericsError`` instead
+    of running on.  Each node is evaluated once, in the block that first
+    uses it: a standard function by one ``eval_many`` call over the
+    block's new nodes (node by node if that call raises), a callable node
+    by node.  Blocks stay far below the 16,384 entries at which
+    ``eval_many`` starts to round differently, so every value has the
+    bits of a one-point ``eval_many`` call.
 
     Removing a discrete point set from the region changes nothing: a
     function that passes every triple on the thinned region extends
@@ -430,8 +436,9 @@ def hindmarsh_test(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
 
     structural: list[complex] = []
-    evaluate = f.eval if isinstance(f, StandardFunction) else f
-    if isinstance(f, StandardFunction):
+    many = f.eval_many if isinstance(f, StandardFunction) else None
+    evaluate = f if many is None else lambda z: many(z[None])[0]
+    if many is not None:
         structural = [z for z in f.jump_points() if region.contains(z) and f.is_defined_at(z)]
         for w, mult in f.pole_points():
             for radius in (1e-2, 1e-3, 1e-4):
@@ -472,10 +479,19 @@ def hindmarsh_test(
         size = min(2 * size, 455)  # a stack of 455 3x3 matrices stays within 4096 entries
         z = nodes[rows]
         rows = rows[np.min(np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]), axis=1) >= 1e-12]
-        for i in dict.fromkeys(rows[~seen[rows]].tolist()):  # each node once, at first use
-            seen[i] = True
+        new = list(dict.fromkeys(rows[~seen[rows]].tolist()))  # each node once, at first use
+        seen[new] = True
+        if many is not None and new:
+            try:  # a raise sends the block node by node
+                vals[new], new = many(nodes[new]), []
+            except Exception:
+                pass
+        for i in new:
             try:
-                vals[i] = complex(evaluate(nodes[i]))
+                v = complex(evaluate(nodes[i]))
+                if not np.isfinite(v):
+                    raise NumericsError(f"non-finite value {v} at {complex(nodes[i])}")
+                vals[i] = v
             except Exception as exc:  # f may be undefined on a thin set: skip its triples
                 bad[i], errors[i] = True, exc
         if bad[rows].any():  # count failed triples in stream order; the triples-th ends the scan

@@ -285,23 +285,27 @@ def solve_stein(data: SteinData) -> HermitianMatrix:
     return HermitianMatrix(k)
 
 
-def stein_series_sum(
-    a: np.ndarray,
-    rhs: np.ndarray,
-    tol: float = 1e-14,
-    max_terms: int = 100_000,
-) -> np.ndarray:
-    """Truncated series sum_j A^j RHS (A*)^j, an independent slow oracle."""
+def stein_series_sum(a: np.ndarray, rhs: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+    """Series sum_j A^j RHS (A*)^j, an oracle independent of ``solve_stein``.
+
+    Summed by doubling: with S the sum of the first 2^k terms and
+    A_k = A^(2^k), the first 2^(k+1) terms are S + A_k S A_k*.  The tail
+    left after S is A_k S_inf A_k*, so the sum stops once
+    ||A_k||_F^2 max|S| <= tol * max(max|RHS|, 1) (the Frobenius norm bounds
+    the spectral norm and never fails on an overflowed A_k); a spectral
+    radius near 1 costs a few more squarings rather than a tail that is
+    never summed.  Raises ``NumericsError`` when 64 squarings (2^64 terms)
+    do not get there, as for a spectral radius of 1 or more.
+    """
     a = np.asarray(a, dtype=complex)
-    term = np.asarray(rhs, dtype=complex)
-    total = term.copy()
-    scale = max(float(np.max(np.abs(rhs))), 1.0)
-    for _ in range(max_terms):
-        term = a @ term @ a.conj().T
-        total += term
-        if np.max(np.abs(term)) < tol * scale:
+    total = np.array(rhs, dtype=complex)
+    scale = max(float(np.max(np.abs(total))), 1.0)
+    for _ in range(64):
+        if np.linalg.norm(a) ** 2 * np.max(np.abs(total)) <= tol * scale:
             return total
-    raise NumericsError(f"Stein series did not converge within {max_terms} terms")
+        total = total + a @ total @ a.conj().T
+        a = a @ a
+    raise NumericsError("Stein series did not converge within 64 squarings")
 
 
 def schur_complement(

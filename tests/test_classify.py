@@ -219,14 +219,25 @@ class TestFindN:
         assert high.n_hat == high.kappa + high.kappa  # q + 2l with q=0, l=1
 
 
-def _sequential_hindmarsh(f, region=None, triples=10_000, seed=0, tol=DEFAULT_TOL):
-    """The one-triple-at-a-time scan the blocked ``hindmarsh_test`` must reproduce."""
+def _finite_value(evaluate, z):
+    v = complex(evaluate(z))
+    if not np.isfinite(v):
+        raise NumericsError(f"non-finite value {v} at {complex(z)}")
+    return v
+
+
+def _sequential_hindmarsh(f, region=None, triples=10_000, seed=0, tol=DEFAULT_TOL, evaluate=None):
+    """The one-triple-at-a-time scan the blocked ``hindmarsh_test`` must reproduce.
+
+    A standard function's node is evaluated by ``evaluate``, by default a
+    one-point ``eval_many`` call.
+    """
     region = region or Region.whole_disk()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
 
     structural = []
     if isinstance(f, StandardFunction):
-        evaluate = f.eval
+        evaluate = evaluate or (lambda z: f.eval_many(np.array([z]))[0])
         for z in f.jump_points():
             if region.contains(z) and f.is_defined_at(z):
                 structural.append(z)
@@ -262,7 +273,7 @@ def _sequential_hindmarsh(f, region=None, triples=10_000, seed=0, tol=DEFAULT_TO
         if float(np.min(d)) < 1e-12:
             continue
         try:
-            vals = np.array([complex(evaluate(z)) for z in cfg])
+            vals = np.array([_finite_value(evaluate, z) for z in cfg])
         except Exception as exc:
             failed += 1
             if failed >= triples:
@@ -295,7 +306,13 @@ def _raises_on_right_half(z):
 
 def _infinite_on_right(z):
     if z.real > 0.3:
-        return complex("inf")  # the eigensolver fails on such a triple
+        return complex("inf") if z.imag > 0 else float("nan")  # failed evaluations
+    return 3.0 if z.real < -0.3 and z.imag > 0.3 else 0.0
+
+
+def _overflowing_on_right(z):
+    if z.real > 0.3:
+        return 1e200  # finite, but the Pick assembly overflows and the eigensolver fails
     return 3.0 if z.real < -0.3 and z.imag > 0.3 else 0.0
 
 
@@ -334,6 +351,10 @@ _REFERENCE_CASES = {
     ),
     "callable-raising": (lambda: _raises_near_circle, {"triples": 700}),
 }
+
+_STANDARD_CASES = sorted(
+    c for c, (make, _) in _REFERENCE_CASES.items() if isinstance(make(), StandardFunction)
+)
 
 
 class TestHindmarsh:
@@ -397,12 +418,71 @@ class TestHindmarsh:
         if got[0] == "raised":
             assert got[2].startswith("50 evaluations failed, last: ValueError")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the Pick assembly
+    @pytest.mark.parametrize("seed", range(6))
+    def test_non_finite_values_count_as_failures(self, seed):
+        got = _scan_outcome(hindmarsh_test, _infinite_on_right, triples=20, seed=seed)
+        assert got == _scan_outcome(_sequential_hindmarsh, _infinite_on_right, triples=20, seed=seed)
+        if got[0] == "raised":
+            assert got[2].startswith("20 evaluations failed, last: NumericsError('non-finite value")
+
+    def test_nan_callable_raises_numerics_error(self):
+        with pytest.raises(NumericsError, match=r"1000 evaluations failed, last: .*non-finite"):
+            hindmarsh_test(lambda z: float("nan"), triples=1000, seed=1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the Pick assembly
     @pytest.mark.parametrize("seed", [0, 12, 48])
     def test_eigensolver_failure_stops_in_stream_order(self, seed):
         # seeds 12 and 48 violate on a triple scored in a block before one that LAPACK rejects
-        got = _scan_outcome(hindmarsh_test, _infinite_on_right, triples=20, seed=seed)
-        assert got == _scan_outcome(_sequential_hindmarsh, _infinite_on_right, triples=20, seed=seed)
+        got = _scan_outcome(hindmarsh_test, _overflowing_on_right, triples=20, seed=seed)
+        assert got == _scan_outcome(_sequential_hindmarsh, _overflowing_on_right, triples=20, seed=seed)
+        assert got[0] == "raised" if seed == 0 else got[0] is False
+
+    @pytest.mark.parametrize("case", _STANDARD_CASES)
+    def test_block_values_equal_one_point_values(self, case):
+        make, kwargs = _REFERENCE_CASES[case]
+        f = make()
+        region = kwargs.get("region") or Region.whole_disk()
+        z = np.concatenate([region.sample(np.random.default_rng(5), 4096), f.jump_points()])
+        z = z[[f.is_defined_at(p) for p in z]]
+        one_point = np.array([f.eval_many(z[i : i + 1])[0] for i in range(len(z))])
+        for k in (1, 2, 455, 1365, len(z)):  # a block's new nodes number at most 3 * 455
+            assert f.eval_many(z[:k]).tobytes() == one_point[:k].tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("case", _STANDARD_CASES)
+    def test_matches_scalar_eval_scan(self, case, seed):
+        # the scan before block evaluation: only the last bits of most_negative may move
+        make, kwargs = _REFERENCE_CASES[case]
+        f = make()
+        got = hindmarsh_test(f, seed=seed, **kwargs)
+        want = _sequential_hindmarsh(f, seed=seed, evaluate=f.eval, **kwargs)
+        assert (got.consistent, got.triples_tested) == (want.consistent, want.triples_tested)
+        assert got.violation == want.violation
+        if want.most_negative is None:
+            assert got.most_negative is None
+        else:
+            assert got.most_negative == pytest.approx(want.most_negative, rel=1e-14, abs=0.0)
+
+    def test_raising_block_falls_back_node_by_node(self, monkeypatch):
+        f, kwargs = schur_only(SchurConstant(0.7)), {"triples": 1500, "seed": 3}
+        blocks = []
+        real = StandardFunction.eval_many
+        monkeypatch.setattr(StandardFunction, "eval_many", lambda g, z: blocks.append(z) or real(g, z))
+        hindmarsh_test(f, **kwargs)
+        chosen = blocks[6][len(blocks[6]) // 2]  # one node in the middle of a block
+        calls = []
+
+        def flaky(g, z):
+            calls.append(len(z))
+            if np.any(z == chosen):
+                raise UndefinedAtPole(complex(chosen))
+            return real(g, z)
+
+        monkeypatch.setattr(StandardFunction, "eval_many", flaky)
+        got = _scan_outcome(hindmarsh_test, f, **kwargs)
+        assert calls[6] == len(blocks[6]) and calls[7 : 7 + calls[6]] == [1] * calls[6]
+        assert got == _scan_outcome(_sequential_hindmarsh, f, **kwargs)
+        assert got[:3] == (True, int, 1500)  # the chosen node's triples are skipped, not tested
 
     def test_always_failing_callable_raises(self):
         def broken(z):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from negsquares import dump_function
@@ -22,6 +23,10 @@ def spec_path(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def _ring(n, radius):
+    return [(radius * np.exp(2j * np.pi * (k + 0.3) / n), 1) for k in range(n)]
 
 
 class TestProfileCommand:
@@ -149,6 +154,9 @@ class TestVerifyCommands:
         [
             pytest.param([(0.5, 2)], 2, id="double-half"),
             pytest.param(random_zeros(16, 0.7, 161), 16, id="random-16"),
+            # near the circle the Stein series tail decays like |w|^(2j): it must be summed
+            pytest.param(_ring(4, 0.9997), 4, id="ring-4-0.9997"),
+            pytest.param(_ring(4, 0.9999), 4, id="ring-4-0.9999"),
         ],
     )
     def test_verify_blaschke(self, spec_path, capsys, zeros, degree):

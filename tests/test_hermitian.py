@@ -6,6 +6,7 @@ import pytest
 from negsquares import (
     DEFAULT_TOL,
     HermitianMatrix,
+    NumericsError,
     SteinData,
     TolerancePolicy,
     ValidationError,
@@ -135,6 +136,12 @@ class TestSolveStein:
         assert np.max(np.abs(k.entries - want)) < 1e-12
         series = stein_series_sum(a, np.ones((2, 2)))
         assert np.max(np.abs(k.entries - series)) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the powers of A overflow
+    @pytest.mark.parametrize("a", [np.eye(2), 2.0 * np.eye(2), [[1.5, 1.5], [0.0, 1.5]]])
+    def test_series_diverges_with_typed_error(self, a):
+        with pytest.raises(NumericsError, match="64 squarings"):
+            stein_series_sum(np.array(a), np.eye(2))
 
     def test_residual_contract(self, rng):
         for _ in range(10):
