@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None, help="relative zero threshold override")
     parser.add_argument("--region", default="whole", help="search region (see below)")
     parser.add_argument(
-        "--budget", default=None, help="CONFIGS,ROUNDS search budget (default 200,40)"
+        "--budget", default=None, help="CONFIGS,ROUNDS budget (default 200,40); ROUNDS changes no result"
     )
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "structured"), default="structured")
@@ -257,12 +257,14 @@ def _run_verify_blaschke(f, args, tol) -> int:
     )
     series = stein_series_sum(realization.a, np.outer(realization.e, realization.e.conj()))
     series_gap = float(np.max(np.abs(series - realization.k.entries)))
+    # the sum's rounding grows like 1/(1 - |w|^2) as a zero w nears the circle
+    conditioning = 1.0 / (1.0 - max(abs(w.value) for w, _ in f.blaschke.zeros) ** 2)
     doc = {
         "degree": realization.degree,
         "product_agreement": agree,
         "kernel_residual": kernel,
         "stein_series_gap": series_gap,
-        "ok": agree <= 1e-10 and kernel <= 1e-10 and series_gap <= 1e-11,
+        "ok": bool(agree <= 1e-10 and kernel <= 1e-10 and series_gap <= 1e-11 * conditioning),
     }
     payload = _kv_csv(sorted(doc.items())) if args.format == "csv" else _dump(doc)
     _emit(payload, args.out)

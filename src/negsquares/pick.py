@@ -180,7 +180,11 @@ class Region:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """(configurations examined per size, refinement rounds per configuration)."""
+    """Configurations examined per matrix size.
+
+    ``refine_rounds`` (ROUNDS of ``--budget CONFIGS,ROUNDS``) is validated
+    but changes no result: the profile keeps its best candidate unrefined.
+    """
 
     configurations: int = 200
     refine_rounds: int = 40
@@ -268,7 +272,7 @@ class ProfileResult:
 
 
 class _Searcher:
-    """Per-function search state: admissibility, scoring, refinement."""
+    """Per-function search state: admissibility and scoring checked against kappa."""
 
     def __init__(self, f: StandardFunction, region: Region, tol: TolerancePolicy, kappa_cap: int):
         self.f = f
@@ -315,8 +319,11 @@ class _Searcher:
     def score_many(self, configs: np.ndarray) -> list[tuple[int, float]]:
         """Scores of the rows of a (B, n) stack, unchecked against the bound.
 
-        Each equals the score of that row alone bit for bit: the stack is cut
-        so no complex temporary reaches _STACK_ENTRIES entries.
+        A score is (negative count, tie-break), larger better on both: the
+        tie-break favors rows whose smallest count+1 eigenvalues sum lowest,
+        i.e. closest to gaining one more negative.  Each equals the score of
+        that row alone bit for bit: the stack is cut so no complex temporary
+        reaches _STACK_ENTRIES entries.
         """
         rows = max(1, (_STACK_ENTRIES - 1) // configs.shape[1] ** 2)
         out = []
@@ -336,59 +343,18 @@ class _Searcher:
             )
         return score
 
-    def score(self, config: np.ndarray) -> tuple[int, float]:
-        """(negative count, tie-break) - larger is better on both coordinates.
 
-        The tie-break favors configurations whose smallest count+1
-        eigenvalues sum lowest, i.e. closest to gaining one more negative.
-        """
-        return self.checked(self.score_many(config[None])[0])
+def _leader(scores: list[tuple[int, float]], configs: np.ndarray) -> int:
+    """Row of ``configs`` with the best score, by one lexsort.
 
-    def refine(self, config: np.ndarray, rounds: int) -> tuple[np.ndarray, tuple[int, float], int]:
-        """Coordinatewise hill climb; step halves after a sweep without gain.
-
-        A sweep moves each node in turn by +-step and +-i step, keeping every
-        move that beats the best so far.  The moves are scored in stacks: all
-        admissible, usable moves left in the sweep at once; after the first
-        accepted one, the moves behind it are rebuilt around the new best.
-        ``used`` counts exactly the moves a one-at-a-time climb scores.
-        """
-        best = config.copy()
-        best_score = self.score(best)
-        used = 1
-        step = 1e-2
-        n = len(best)
-        for _ in range(rounds):
-            if best_score[0] >= self.kappa_cap:
-                break  # count is maximal; the tie-break alone is not worth budget
-            improved = False
-            moves = np.array([step, -step, 1j * step, -1j * step])
-            k = np.arange(4 * n)  # move k shifts node k // 4 by moves[k % 4]
-            while len(k):
-                cands = np.repeat(best[None, :], len(k), axis=0)
-                rows = np.arange(len(k))
-                cands[rows, k // 4] = best[k // 4] + moves[k % 4]
-                keep = self.admissible_many(cands[rows, k // 4]) & self.usable(cands)
-                k, cands = k[keep], cands[keep]
-                for j, s in enumerate(self.score_many(cands)):
-                    used += 1
-                    if self.checked(s) > best_score:
-                        best, best_score = cands[j], s
-                        improved = True
-                        k = np.arange(k[j] + 1, 4 * n)
-                        break
-                else:
-                    break
-            if not improved:
-                step /= 2.0
-                if step < 1e-9:
-                    break
-        return best, best_score, used
-
-
-def _witness_key(config: np.ndarray) -> tuple:
-    flat = sorted((float(z.real), float(z.imag)) for z in config)
-    return tuple(x for pair in flat for x in pair)
+    Larger count wins, then larger tie-break; equal scores go to the row
+    whose nodes, sorted by (re, im), are lexicographically smallest, and a
+    full tie to the earliest row.
+    """
+    nodes = np.sort(configs, axis=1)  # complex sort orders by (re, im)
+    coords = np.stack([nodes.real, nodes.imag], axis=2).reshape(len(configs), -1)
+    count, tie = np.array(scores, dtype=float).T
+    return int(np.lexsort((*coords.T[::-1], -tie, -count))[0])
 
 
 def _placement(f: StandardFunction, eps: float, rng: np.random.Generator, jumps):
@@ -493,8 +459,11 @@ def kn_profile(
 
     Search strategy per size n: structured candidates placed at the jumps
     and poles of ``f`` intersecting the region, the previous witness carried
-    forward with one appended node (so the profile is monotone), quasi-random
-    configurations, then coordinatewise hill climbing on the leaders.  On
+    forward with one appended node (so the profile is monotone) and random
+    configurations are scored in one stack, every score checked against
+    kappa = q + l; the leader is the best score, ties going to the
+    lexicographically smallest sorted nodes.  A count below the previous
+    size's is carried over from padded copies of the previous witness.  On
     the whole disk, a size n >= q + 2 l still short of q + l recounts its
     structured candidates after Jacobi equilibration.
     Deterministic for a fixed seed.  A plateau is recorded at the first n
@@ -544,22 +513,11 @@ def kn_profile(
                 "the region may not intersect the domain"
             )
 
-        scores = [searcher.checked(s) for s in searcher.score_many(np.array(candidates))]
-        scored = list(zip(scores, candidates))
-        samples = len(scored)
-        scored.sort(key=lambda item: (item[0], [-x for x in _witness_key(item[1])]), reverse=True)
-
-        leaders = scored[:3]
-        best_score, best_cfg = leaders[0]
-        for _, cfg in leaders:
-            refined, r_score, used = searcher.refine(cfg, budget.refine_rounds)
-            samples += used
-            if r_score > best_score or (
-                r_score == best_score and _witness_key(refined) < _witness_key(best_cfg)
-            ):
-                best_score, best_cfg = r_score, refined
-
-        best_count = best_score[0]
+        configs = np.array(candidates)
+        scores = [searcher.checked(s) for s in searcher.score_many(configs)]
+        samples = len(scores)
+        best = _leader(scores, configs)
+        best_count, best_cfg = scores[best][0], configs[best]
         if best_count < prev_best and prev_witness is not None:
             # Appending a node to the previous witness keeps its negatives
             # (eigenvalue interlacing); a drop can only be the zero threshold
@@ -569,7 +527,7 @@ def kn_profile(
                 if cfg is None:
                     continue
                 samples += 1
-                s = searcher.score(cfg)
+                s = searcher.checked(searcher.score_many(cfg[None])[0])
                 best_cfg = cfg
                 if s[0] >= prev_best:
                     best_count = s[0]

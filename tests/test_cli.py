@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -157,6 +158,8 @@ class TestVerifyCommands:
             # near the circle the Stein series tail decays like |w|^(2j): it must be summed
             pytest.param(_ring(4, 0.9997), 4, id="ring-4-0.9997"),
             pytest.param(_ring(4, 0.9999), 4, id="ring-4-0.9999"),
+            # the sum's rounding grows like 1/(1 - |w|^2): its gap reads 2.9e-11 here
+            pytest.param(_ring(4, 0.999999), 4, id="ring-4-0.999999"),
         ],
     )
     def test_verify_blaschke(self, spec_path, capsys, zeros, degree):
@@ -173,6 +176,35 @@ class TestVerifyCommands:
         assert doc["degree"] == degree
         assert doc["product_agreement"] <= 1e-10
 
+    @pytest.mark.parametrize("radius", [0.9, 0.999999])
+    @pytest.mark.parametrize("wrong", ["gram", "series"])
+    def test_verify_blaschke_rejects_a_wrong_realization(self, spec_path, capsys, monkeypatch,
+                                                         radius, wrong):
+        import negsquares.cli as cli
+        from negsquares import HermitianMatrix
+
+        bound = 1e-11 / (1.0 - radius**2)
+        if wrong == "gram":  # K = (1 + d) I no longer solves K - A K A* = E E*
+            realize = cli.realize_blaschke
+            monkeypatch.setattr(cli, "realize_blaschke", lambda zeros: dataclasses.replace(
+                realize(zeros), k=HermitianMatrix((1.0 + 10 * bound) * np.eye(4))))
+        else:  # the series misses K by ten times the scaled bound, nothing else is off
+            series = cli.stein_series_sum
+            monkeypatch.setattr(cli, "stein_series_sum", lambda a, q: series(a, q) + 10 * bound)
+        code = run(
+            [
+                "--spec", spec_path(quotient(SchurConstant(1.0), _ring(4, radius))),
+                "--command", "verify-blaschke",
+                "--seed", "12",
+            ]
+        )
+        assert code == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False
+        assert doc["stein_series_gap"] > bound
+        if wrong == "series":
+            assert doc["product_agreement"] <= 1e-10 and doc["kernel_residual"] <= 1e-10
+
     def test_verify_blaschke_needs_zeros(self, spec_path, capsys):
         code = run(
             [
@@ -182,6 +214,20 @@ class TestVerifyCommands:
             ]
         )
         assert code == 2
+
+
+class TestClassifyBudget:
+    @pytest.mark.parametrize("region", ["whole", "disk,0.3,0.1,0.4"])
+    def test_refine_rounds_change_no_byte(self, spec_path, capsys, region):
+        # ROUNDS of --budget is accepted but no longer drives a search step
+        spec = spec_path(quotient(SchurConstant(0.8), [(0.3 + 0.1j, 1), (-0.5j, 1)]))
+        outputs = []
+        for budget in ("200,0", "200,40"):
+            code = run(["--spec", spec, "--command", "classify", "--seed", "4",
+                        "--region", region, "--budget", budget])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
 
 
 class TestHindmarshCommand:

@@ -2,15 +2,24 @@
 
     python3 tools/same_stdout.py OLD_SRC NEW_SRC
     python3 tools/same_stdout.py OLD_SRC NEW_SRC --case classify:43:0-1
+    python3 tools/same_stdout.py OLD_SRC NEW_SRC --counts --case classify:601-660:0-24
 
 OLD_SRC and NEW_SRC are directories holding a ``negsquares`` package (the
 ``src/`` of two checkouts).  The calls come from ``perfbench/corpus.py``,
 which is imported and never modified.  Each call runs ``negsquares.cli.main``
 in this process against one tree, then the other, on the same spec file.  A
-call matches when the exit codes agree and sha256(stdout + stderr) agree.
+call matches when the exit codes, stdout and stderr agree; a differing call
+prints the sha256 digests of its stdout + stderr.
+With ``--counts`` a classify or profile document on stdout is cut to its
+counts first: ``kappa_hat``, ``n_first``, ``n_attained``,
+``subscript_check``, ``bound_check``, ``minimal_witness_size.n_hat``, the
+plateau and every profile row's ``best_count``; witnesses and
+``samples_used`` are ignored, any other output is compared whole, and a
+differing call prints the fields that differ.
 Prints one line per differing call and a summary; exits 1 on any difference.
 
-A case is WORKLOAD:SEED:FIRST-LAST (rounds, inclusive).  Without ``--case``
+A case is WORKLOAD:SEED:FIRST-LAST (rounds, inclusive), or
+WORKLOAD:FIRST-LAST:FIRST-LAST for a range of seeds.  Without ``--case``
 the default set runs: seed 1 rounds 0-1 of scan, classify, realize and
 fragile, seed 1 rounds 0-19 of certify, and seed 43 rounds 0-1 of classify.
 """
@@ -27,6 +36,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -43,6 +53,8 @@ DEFAULT_CASES = (
     "classify:43:0-1",
 )
 
+COUNT_FIELDS = ("kappa_hat", "n_first", "n_attained", "subscript_check", "bound_check")
+
 
 def load_cli(src: Path):
     """``negsquares.cli`` imported from ``src``, replacing any loaded copy."""
@@ -58,8 +70,26 @@ def load_cli(src: Path):
     return cli
 
 
-def outcome(cli, argv: list[str]) -> tuple[object, str]:
-    """(exit code, sha256 of stdout + stderr) of one in-process call."""
+def counts_only(stdout: str) -> str:
+    """The count fields of a classify or profile document; any other output as is."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return stdout
+    if not isinstance(doc, dict) or not ("kappa_hat" in doc or "rows" in doc):
+        return stdout
+    kept = {k: doc[k] for k in COUNT_FIELDS if k in doc}
+    if "minimal_witness_size" in doc:
+        kept["n_hat"] = (doc["minimal_witness_size"] or {}).get("n_hat")
+    profile = doc.get("profile", doc) or {}  # classify nests the profile, profile prints it bare
+    if profile:
+        kept["plateau"] = profile["plateau"]
+        kept["best_count"] = [row["best_count"] for row in profile["rows"]]
+    return json.dumps(kept, sort_keys=True)
+
+
+def outcome(cli, argv: list[str], counts: bool = False) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -68,14 +98,31 @@ def outcome(cli, argv: list[str]) -> tuple[object, str]:
             code = exc.code
         except Exception as exc:  # a traceback is an outcome to compare, not to stop on
             code = f"raised {type(exc).__name__}: {exc}"
-    return code, hashlib.sha256((out.getvalue() + err.getvalue()).encode()).hexdigest()
+    return code, counts_only(out.getvalue()) if counts else out.getvalue(), err.getvalue()
 
 
-def parse_case(text: str) -> tuple[str, int, range]:
+def difference(old: tuple, new: tuple, counts: bool) -> str:
+    """The exit codes, then the count fields that differ or else the output digests."""
+    text = f"exit {old[0]!r} -> {new[0]!r}, "
+    if counts and old[2] == new[2]:
+        try:
+            a, b = json.loads(old[1]), json.loads(new[1])
+        except ValueError:
+            a = b = None
+        if isinstance(a, dict) and isinstance(b, dict):
+            return text + ", ".join(f"{k} {a.get(k)} -> {b.get(k)}"
+                                    for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k))
+    old_digest, new_digest = (hashlib.sha256((o[1] + o[2]).encode()).hexdigest() for o in (old, new))
+    return text + f"digest {old_digest[:12]} -> {new_digest[:12]}"
+
+
+def parse_case(text: str) -> tuple[str, range, range]:
     try:
-        workload, seed, rounds = text.split(":")
+        workload, seeds, rounds = text.split(":")
+        first, _, last = seeds.partition("-")
+        seeds = range(int(first), int(last or first) + 1)
         first, last = rounds.split("-")
-        return workload, int(seed), range(int(first), int(last) + 1)
+        return workload, seeds, range(int(first), int(last) + 1)
     except ValueError:
         raise SystemExit(f"error: case {text!r} is not WORKLOAD:SEED:FIRST-LAST") from None
 
@@ -85,26 +132,29 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--case", action="append", help="WORKLOAD:SEED:FIRST-LAST (repeatable)")
+    parser.add_argument("--counts", action="store_true",
+                        help="compare only the counts of classify and profile documents")
     args = parser.parse_args(argv)
     trees = (args.old_src, args.new_src)
     calls = differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for text in args.case or DEFAULT_CASES:
-            workload, seed, rounds = parse_case(text)
-            for rnd in rounds:
-                invs = corpus.build(workload, seed, rnd)
-                paths = corpus.write_specs(invs, Path(tmp) / f"{workload}-{seed}-{rnd}")
-                results = []
-                for src in trees:
-                    cli = load_cli(src)
-                    results.append([outcome(cli, inv.argv(path)) for inv, path in zip(invs, paths)])
-                for inv, old, new in zip(invs, *results):
-                    calls += 1
-                    if old != new:
-                        differ += 1
-                        print(f"DIFFERS {workload} seed {seed} round {rnd} {inv.label}: "
-                              f"exit {old[0]!r} -> {new[0]!r}, "
-                              f"digest {old[1][:12]} -> {new[1][:12]}")
+            workload, seeds, rounds = parse_case(text)
+            for seed in seeds:
+                for rnd in rounds:
+                    invs = corpus.build(workload, seed, rnd)
+                    paths = corpus.write_specs(invs, Path(tmp) / f"{workload}-{seed}-{rnd}")
+                    results = []
+                    for src in trees:
+                        cli = load_cli(src)
+                        results.append([outcome(cli, inv.argv(path), args.counts)
+                                        for inv, path in zip(invs, paths)])
+                    for inv, old, new in zip(invs, *results):
+                        calls += 1
+                        if old != new:
+                            differ += 1
+                            print(f"DIFFERS {workload} seed {seed} round {rnd} {inv.label}: "
+                                  + difference(old, new, args.counts), flush=True)
     print(f"{calls} calls, {differ} differ")
     return 1 if differ else 0
 
