@@ -180,11 +180,7 @@ class Region:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Configurations examined per matrix size.
-
-    ``refine_rounds`` (ROUNDS of ``--budget CONFIGS,ROUNDS``) is validated
-    but changes no result: the profile keeps its best candidate unrefined.
-    """
+    """(configurations examined per size, refinement rounds per configuration)."""
 
     configurations: int = 200
     refine_rounds: int = 40
@@ -272,7 +268,7 @@ class ProfileResult:
 
 
 class _Searcher:
-    """Per-function search state: admissibility and scoring checked against kappa."""
+    """Per-function search state: admissibility, scoring, refinement."""
 
     def __init__(self, f: StandardFunction, region: Region, tol: TolerancePolicy, kappa_cap: int):
         self.f = f
@@ -329,11 +325,14 @@ class _Searcher:
         out = []
         for start in range(0, len(configs), rows):
             chunk = configs[start:start + rows]
-            w, tau = _spectrum(pick_entries(self.f.eval_many(chunk), chunk), self.tol)
-            counts = np.count_nonzero(w < -tau[:, None], axis=1)
-            # np.add.reduce is np.sum without its dispatch overhead
-            out += [(int(c), -float(np.add.reduce(v[: c + 1]))) for v, c in zip(w, counts)]
+            counts, w = self._spectra(pick_entries(self.f.eval_many(chunk), chunk))
+            out += [_score(c, v) for v, c in zip(w, counts)]
         return out
+
+    def _spectra(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Negative counts and ascending spectra of a stack of Pick matrices."""
+        w, tau = _spectrum(mats, self.tol)
+        return np.count_nonzero(w < -tau[:, None], axis=1), w
 
     def checked(self, score: tuple[int, float]) -> tuple[int, float]:
         if score[0] > self.kappa_cap:
@@ -343,18 +342,146 @@ class _Searcher:
             )
         return score
 
+    def refine(self, configs: np.ndarray, rounds: int) -> list[tuple[np.ndarray, tuple[int, float], int]]:
+        """Coordinatewise hill climbs of the rows of a (L, n) stack, run side by side.
 
-def _leader(scores: list[tuple[int, float]], configs: np.ndarray) -> int:
-    """Row of ``configs`` with the best score, by one lexsort.
+        Each returns (climbed configuration, its score, moves scored).  A
+        sweep moves each node in turn by +-step and +-i step, keeping every
+        move that beats the best so far; the step halves after a sweep
+        without gain, and ``used`` counts the moves scored, as a
+        one-at-a-time climb scores them.  Each climb runs ahead: the moves of
+        the sweeps that follow if none gains (the rest of this sweep, then
+        whole sweeps at halved steps) are filtered and solved as one stack
+        with the other climbs', and the moves behind its first gain are then
+        rebuilt around the new best.  A move changes one row and column of
+        the Pick matrix, so its matrix is the best one with that row and
+        column reassembled (``_moved``), bit for bit what ``score_many`` gives.
+        """
+        best = configs.copy()
+        n = best.shape[1]
+        values = self.f.eval_many(best)
+        base = pick_entries(values, best)
+        counts, w = self._spectra(base)
+        scores = [self.checked(_score(c, v)) for c, v in zip(counts, w)]
+        used = [1] * len(best)
+        spare = self._spare(best)
+        block = max(1, (_STACK_ENTRIES - 1) // n**2)
+        # per climb: the sweep under way (index, step, next move, gained in it
+        # yet) and the moves to run ahead, doubled while none gains
+        sweeps = [(0, 1e-2, 0, False)] * len(best)
+        ahead = [4 * n] * len(best)
+        while True:
+            plans = []
+            for c, sweep in enumerate(sweeps):
+                plan, moves = [], 0
+                while sweep is not None and sweep[0] < rounds and moves < ahead[c]:
+                    if not sweep[3] and scores[c][0] >= self.kappa_cap:
+                        break  # count is maximal; the tie-break alone is not worth budget
+                    plan.append((c,) + sweep)
+                    moves += 4 * n - sweep[2]
+                    sweep = _next_sweep(sweep)
+                plans += plan
+                sweeps[c] = sweep if plan else None
+            if not plans:
+                break
+            ks = [np.arange(k0, 4 * n) for _, _, _, k0, _ in plans]
+            leg = np.repeat(np.arange(len(plans)), [len(k) for k in ks])
+            k = np.concatenate(ks)
+            owner, node = np.array([p[0] for p in plans])[leg], k // 4
+            z = best[owner, node] + np.concatenate(
+                [np.array([h, -h, 1j * h, -1j * h])[kk % 4] for (_, _, h, _, _), kk in zip(plans, ks)]
+            )
+            gaps = np.abs(z[:, None] - best[owner])
+            gaps[np.arange(len(k)), node] = np.inf  # the node's old place
+            new = np.count_nonzero(gaps < _RANDOM_SEPARATION, axis=1)
+            keep = np.flatnonzero(self.admissible_many(z) & (2 * new <= spare[owner, node]))
+            parts = []
+            for start in range(0, len(keep), block):
+                rows = keep[start:start + block]
+                fz = self.f.eval_many(z[rows])
+                mats = _moved(base[owner[rows]], values[owner[rows]], best[owner[rows]],
+                              node[rows], z[rows], fz)
+                counts, w = self._spectra(mats)
+                bc, bt = (x[owner[rows]] for x in np.array(scores).T)
+                gain = counts > bc
+                for count in set(counts[counts == bc].tolist()):
+                    tied = np.flatnonzero((counts == bc) & (bc == count))
+                    gain[tied] = -np.add.reduce(w[tied, : count + 1], axis=1) > bt[tied]
+                parts.append((gain, fz, mats, counts, w))
+            gain, fz, mats, counts, w = (
+                (np.concatenate(x) for x in zip(*parts)) if parts else ([],) * 5
+            )
+            for c in dict.fromkeys(p[0] for p in plans):
+                mine = np.flatnonzero(owner[keep] == c)
+                hits = mine[gain[mine]] if len(mine) else mine
+                if not len(hits):
+                    used[c] += len(mine)
+                    ahead[c] = min(2 * ahead[c], _STACK_ENTRIES // n)
+                    continue
+                j = hits[0]
+                used[c] += int(j - mine[0]) + 1
+                scores[c] = self.checked(_score(counts[j], w[j]))
+                i = keep[j]
+                best[c, node[i]], values[c, node[i]], base[c] = z[i], fz[j], mats[j]
+                spare[c] = 0  # the climbed row is usable: its only close pairs are (i, i)
+                _, index, step, _, _ = plans[leg[i]]
+                sweeps[c], ahead[c] = (index, step, int(k[i]) + 1, True), 4 * n
+        return [(best[c], scores[c], used[c]) for c in range(len(best))]
 
-    Larger count wins, then larger tie-break; equal scores go to the row
-    whose nodes, sorted by (re, im), are lexicographically smallest, and a
-    full tie to the earliest row.
+    @staticmethod
+    def _spare(configs: np.ndarray) -> np.ndarray:
+        """Per row and node of a (L, n) stack, twice the close pairs a move of the
+        node may bring without making the row unusable: the moved row's close
+        pairs are the row's away from the node plus twice the node's new ones."""
+        close = np.abs(configs[:, :, None] - configs[:, None, :]) < _RANDOM_SEPARATION
+        total = np.count_nonzero(close, axis=(1, 2))[:, None]
+        return configs.shape[1] - 2 - total + 2 * np.count_nonzero(close, axis=2)
+
+
+def _next_sweep(sweep: tuple) -> tuple | None:
+    """The sweep after ``sweep`` if no move in what is left of it gains; None if the climb stops."""
+    index, step, _, gained = sweep
+    if not gained:
+        step /= 2.0
+        if step < 1e-9:
+            return None
+    return index + 1, step, 0, False
+
+
+def _score(count, spectrum: np.ndarray) -> tuple[int, float]:
+    # np.add.reduce is np.sum without its dispatch overhead
+    return int(count), -float(np.add.reduce(spectrum[: count + 1]))
+
+
+def _moved(mats: np.ndarray, values: np.ndarray, nodes: np.ndarray, m: np.ndarray,
+           z: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """Pick matrices of the rows of ``nodes`` with node m[b] of row b moved to
+    z[b], where f is fz[b], written into ``mats``.
+
+    ``mats`` holds ``pick_entries(values, nodes)``; row and column m[b] are
+    assembled as ``pick_entries`` does, with the same operands in the same
+    order, so every entry has its bits.
+    """
+    b = np.arange(len(m))
+    row = (1.0 - fz[:, None] * values.conj()) / (1.0 - z[:, None] * nodes.conj())
+    col = (1.0 - values * fz.conj()[:, None]) / (1.0 - nodes * z.conj()[:, None])
+    row[b, m] = col[b, m] = (1.0 - fz * fz.conj()) / (1.0 - z * z.conj())
+    mats[b, :, m] = (col + row.conj()) / 2.0
+    mats[b, m, :] = (row + col.conj()) / 2.0
+    return mats
+
+
+def _ranking(scores: list[tuple[int, float]], configs: np.ndarray) -> np.ndarray:
+    """Rows of ``configs`` best first, by one lexsort.
+
+    Larger count first, then larger tie-break; equal scores put first the
+    row whose nodes, sorted by (re, im), are lexicographically smallest,
+    and a full tie the earlier row.
     """
     nodes = np.sort(configs, axis=1)  # complex sort orders by (re, im)
     coords = np.stack([nodes.real, nodes.imag], axis=2).reshape(len(configs), -1)
     count, tie = np.array(scores, dtype=float).T
-    return int(np.lexsort((*coords.T[::-1], -tie, -count))[0])
+    return np.lexsort((*coords.T[::-1], -tie, -count))
 
 
 def _placement(f: StandardFunction, eps: float, rng: np.random.Generator, jumps):
@@ -461,11 +588,12 @@ def kn_profile(
     and poles of ``f`` intersecting the region, the previous witness carried
     forward with one appended node (so the profile is monotone) and random
     configurations are scored in one stack, every score checked against
-    kappa = q + l; the leader is the best score, ties going to the
-    lexicographically smallest sorted nodes.  A count below the previous
-    size's is carried over from padded copies of the previous witness.  On
-    the whole disk, a size n >= q + 2 l still short of q + l recounts its
-    structured candidates after Jacobi equilibration.
+    kappa = q + l.  The three best, ranked by score and then by their
+    sorted nodes, are hill climbed, and the best climb is the witness.  A
+    count below the previous size's is carried over from padded copies of
+    the previous witness.  On the whole disk, a size n >= q + 2 l still
+    short of q + l recounts its structured candidates after Jacobi
+    equilibration.
     Deterministic for a fixed seed.  A plateau is recorded at the first n
     whose count survives three further size increments.
     """
@@ -516,8 +644,10 @@ def kn_profile(
         configs = np.array(candidates)
         scores = [searcher.checked(s) for s in searcher.score_many(configs)]
         samples = len(scores)
-        best = _leader(scores, configs)
-        best_count, best_cfg = scores[best][0], configs[best]
+        refined = searcher.refine(configs[_ranking(scores, configs)[:3]], budget.refine_rounds)
+        samples += sum(used for _, _, used in refined)
+        best = _ranking([s for _, s, _ in refined], np.array([c for c, _, _ in refined]))[0]
+        best_cfg, (best_count, _), _ = refined[best]
         if best_count < prev_best and prev_witness is not None:
             # Appending a node to the previous witness keeps its negatives
             # (eigenvalue interlacing); a drop can only be the zero threshold

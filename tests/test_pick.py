@@ -19,7 +19,7 @@ from negsquares import (
     profile_to_document,
 )
 from negsquares.hermitian import DEFAULT_TOL, TolerancePolicy, _spectrum
-from negsquares.pick import _leader, _random_configs, _Searcher, pick_entries
+from negsquares.pick import _random_configs, _ranking, _Searcher, pick_entries
 from conftest import example_sharp, jump_function, quotient, schur_only
 
 
@@ -285,16 +285,51 @@ def _stack_configs(f, n: int, count: int, rng) -> np.ndarray:
     return out
 
 
+def _sequential_refine(searcher, config, rounds):
+    """The one-move-at-a-time hill climb the stacked ``refine`` must reproduce."""
+
+    def score(cfg):
+        return searcher.checked(searcher.score_many(cfg[None])[0])
+
+    best = config.copy()
+    best_score = score(best)
+    used = 1
+    step = 1e-2
+    for _ in range(rounds):
+        if best_score[0] >= searcher.kappa_cap:
+            break
+        improved = False
+        for i in range(len(best)):
+            for d in (step, -step, 1j * step, -1j * step):
+                cand = best.copy()
+                cand[i] = best[i] + d
+                if not searcher.admissible(cand[i], structured=False):
+                    continue
+                d2 = np.abs(cand[:, None] - cand[None, :])[np.triu_indices(len(cand), 1)]
+                if len(cand) > 1 and float(np.min(d2)) < 1e-8:
+                    continue
+                used += 1
+                s = score(cand)
+                if s > best_score:
+                    best, best_score = cand, s
+                    improved = True
+        if not improved:
+            step /= 2.0
+            if step < 1e-9:
+                break
+    return best, best_score, used
+
+
 def _witness_key(config):
     flat = sorted((float(z.real), float(z.imag)) for z in config)
     return tuple(x for pair in flat for x in pair)
 
 
-def _sorted_leader(scores, configs) -> int:
-    """Row the profile's former tuple sort put first: best score, then smallest sorted nodes."""
+def _sorted_order(scores, configs) -> list[int]:
+    """Rows in the order of the profile's former tuple sort: best score, then smallest sorted nodes."""
     order = list(range(len(configs)))
     order.sort(key=lambda i: (scores[i], [-x for x in _witness_key(configs[i])]), reverse=True)
-    return order[0]
+    return order
 
 
 def _tied_stack(rng, count: int, n: int):
@@ -347,22 +382,65 @@ class TestStackedScoring:
                 assert got == (count, -float(np.sum(w[: count + 1])))
                 assert type(got[0]) is int and type(got[1]) is float
 
+    @pytest.mark.parametrize("which", range(3))
+    def test_refine_matches_sequential_climb(self, which, rng):
+        f = _stack_functions()[which]
+        for region in (Region.whole_disk(), Region.disk(0.3 + 0.2j, 0.2)):
+            searcher = _Searcher(f, region, DEFAULT_TOL, f.counts()[2])
+            for n in (2, 3, 5):
+                configs = _stack_configs(f, n, 6, rng)
+                inside = np.vectorize(region.contains)(configs)
+                configs = np.where(inside, configs, region.sample(rng, 6 * n).reshape(6, n))
+                wants = [_sequential_refine(searcher, cfg, 12) for cfg in configs]
+                # one climb alone, and all six side by side
+                for got, want in zip([searcher.refine(configs[:1], 12)[0]], wants):
+                    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+                for got, want in zip(searcher.refine(configs, 12), wants):
+                    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_refine_rebuilds_moves_filtered_before_an_acceptance(self):
+        # two nodes 1e-8 apart next to a pole, from a disk-region profile: a
+        # move rejected as too close to the old best is usable after the
+        # other node moves, and the one-at-a-time climb scores it
+        f = quotient(SchurConstant(0.9), [(-0.49686051211399057 + 0.027914148154737996j, 1)])
+        region = Region.disk(-0.49686051211399057 + 0.027914148154737996j, 0.15)
+        searcher = _Searcher(f, region, DEFAULT_TOL, 2)
+        rng = np.random.default_rng(4)
+        anchor = -0.49686051211399057 + 0.027914148154737996j
+        configs = anchor + 1e-8 * np.exp(2j * np.pi * rng.random((20, 2))) * (1 + rng.random((20, 2)))
+        for got, cfg in zip(searcher.refine(configs, 40), configs):
+            want = _sequential_refine(searcher, cfg, 40)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_refine_keeps_moves_of_other_nodes_filtered_while_a_pair_is_close(self):
+        # nodes 0 and 1 start 1e-9 apart: until one of them moves away, no
+        # move of another node gives a usable configuration
+        f = _stack_functions()[0]
+        searcher = _Searcher(f, Region.whole_disk(), DEFAULT_TOL, 4)  # above q + l: every climb runs
+        rng = np.random.default_rng(9)
+        configs = Region.whole_disk().sample(rng, 8 * 4).reshape(8, 4)
+        configs[:, 1] = configs[:, 0] + 1e-9 * np.exp(2j * np.pi * rng.random(8))
+        configs[::2] = configs[::2, ::-1]  # the close pair last in every other row
+        for got, cfg in zip(searcher.refine(configs, 12), configs):
+            want = _sequential_refine(searcher, cfg, 12)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_leader_matches_tuple_sort_with_ties(self, seed):
+    def test_ranking_matches_tuple_sort_with_ties(self, seed):
         rng = np.random.default_rng(seed)
         for count, n in ((1, 1), (1, 5), (2, 2), (40, 1), (60, 2), (60, 4), (25, 13)):
             scores, configs = _tied_stack(rng, count, n)
-            assert _leader(scores, configs) == _sorted_leader(scores, configs)
+            assert list(_ranking(scores, configs)) == _sorted_order(scores, configs)
 
     @pytest.mark.parametrize("which", range(3))
-    def test_leader_matches_tuple_sort_on_scored_stacks(self, which, rng):
+    def test_ranking_matches_tuple_sort_on_scored_stacks(self, which, rng):
         f = _stack_functions()[which]
         searcher = _Searcher(f, Region.whole_disk(), DEFAULT_TOL, f.counts()[2])
         for n in (1, 3, 6):
             configs = _stack_configs(f, n, 80, rng)
             configs = np.concatenate([configs, [rng.permutation(row) for row in configs[:20]]])
             scores = searcher.score_many(configs)
-            assert _leader(scores, configs) == _sorted_leader(scores, configs)
+            assert list(_ranking(scores, configs)) == _sorted_order(scores, configs)
 
     def test_checked_rejects_a_count_above_kappa(self):
         f = jump_function(0.0)
