@@ -30,6 +30,7 @@ from .hermitian import (
 )
 from .pick import Region, SearchBudget, kn_profile, profile_to_csv, profile_to_document
 from .realization import (
+    SIGNATURE_J,
     build_theta,
     extract_sigma,
     realize_blaschke,
@@ -198,20 +199,14 @@ def _run_verify_theta(f, args, region, tol) -> int:
     if nodes is None:
         raise NumericsError("no node set with invertible Pick matrix found")
 
-    circle = np.exp(2j * np.pi * np.arange(64) / 64)
-    j = np.diag([1.0, -1.0])
-    j_unitarity = max(
-        float(np.max(np.abs(theta.eval(z) @ j @ theta.eval(z).conj().T - j))) for z in circle
-    )
+    th = theta.eval(np.exp(2j * np.pi * np.arange(64) / 64))
+    j_unitarity = float(np.max(np.abs(th @ SIGNATURE_J @ th.conj().swapaxes(-1, -2) - SIGNATURE_J)))
     pair_pts = disk_samples(20, radius=0.9)
-    kernel = max(
-        theta_kernel_residual(theta, z, w) for z in pair_pts[:5] for w in pair_pts[5:10]
-    )
+    kernel = float(np.max(theta_kernel_residual(theta, pair_pts[:5], pair_pts[5:10])))
     roundtrip = 0.0
+    jumps = set(f.jump_points())
     for z in pair_pts:
-        if any(abs(z - p.value) < 1e-6 for p in nodes) or not f.is_defined_at(z):
-            continue
-        if z in set(f.jump_points()):
+        if any(abs(z - p.value) < 1e-6 for p in nodes) or not f.is_defined_at(z) or z in jumps:
             continue
         try:
             sigma = extract_sigma(theta, f, z)
@@ -246,15 +241,9 @@ def _run_verify_blaschke(f, args, tol) -> int:
     realization = realize_blaschke(f.blaschke.zeros)
     reference = BlaschkeProduct.normalized(f.blaschke.zeros)
     samples = disk_samples(200, radius=0.95)
-    agree = max(
-        abs(realization.eval(z) - want) / max(1.0, abs(want))
-        for z, want in zip(samples, reference.eval(samples))
-    )
-    kernel = max(
-        realization.kernel_residual(z, w)
-        for z in samples[:10]
-        for w in samples[10:20]
-    )
+    want = reference.eval(samples)
+    agree = float(np.max(np.abs(realization.eval(samples) - want) / np.maximum(1.0, np.abs(want))))
+    kernel = float(np.max(realization.kernel_residual(samples[:10], samples[10:20])))
     series = stein_series_sum(realization.a, np.outer(realization.e, realization.e.conj()))
     series_gap = float(np.max(np.abs(series - realization.k.entries)))
     # the sum's rounding grows like 1/(1 - |w|^2) as a zero w nears the circle

@@ -31,7 +31,7 @@ from .hermitian import (
     ValidationError,
     _spectrum,
 )
-from .pick import build_pick
+from .pick import _STACK_ENTRIES, build_pick
 
 __all__ = [
     "SIGNATURE_J",
@@ -48,6 +48,16 @@ __all__ = [
 
 SIGNATURE_J = np.diag([1.0, -1.0])
 SIGNATURE_J.flags.writeable = False
+
+
+def _resolvent_solve(m: np.ndarray, z: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(I - z M)^-1 rhs, n x k, at each z of a 1-d array, solved in stacks under
+    _STACK_ENTRIES entries; each is bit for bit its one-point solve.  ``rhs[None]``
+    stays a matrix, not a stack of vectors, under every numpy version."""
+    n = len(m)
+    rows = max(1, (_STACK_ENTRIES - 1) // n**2)
+    return np.concatenate([np.linalg.solve(np.eye(n) - z[i:i + rows, None, None] * m, rhs[None])
+                           for i in range(0, len(z) or 1, rows)])
 
 
 class SingularPickError(ValidationError):
@@ -97,20 +107,19 @@ class ThetaRealization:
     def dim(self) -> int:
         return len(self.nodes)
 
-    def left_chain(self, z: complex) -> np.ndarray:
-        """F* (I - z T*)^-1 as a 2 x n matrix."""
-        n = self.dim
-        return np.linalg.solve(
-            (np.eye(n) - z * self.t.conj().T).T, self.f_data.conj()
-        ).T
+    def left_chain(self, z) -> np.ndarray:
+        """F* (I - z T*)^-1 as a 2 x n matrix, one per entry of an array z."""
+        z = np.asarray(z, dtype=complex)
+        # the transposed system: (I - z T*)^T = I - z conj(T)
+        chain = _resolvent_solve(self.t.conj(), z.ravel(), self.f_data.conj())
+        return chain.swapaxes(-1, -2).reshape(z.shape + (2, self.dim))
 
     def eval(self, z) -> np.ndarray:
-        """Theta(z) as a 2x2 array."""
-        z = complex(z)
+        """Theta(z) as a 2x2 array, one per entry of an array z."""
+        z = np.asarray(z, dtype=complex)
         n = self.dim
-        left = self.left_chain(z)
         right = np.linalg.solve(self.p.entries, np.linalg.solve(np.eye(n) - self.t, self.f_data))
-        return np.eye(2) - (1.0 - z) * left @ right @ SIGNATURE_J
+        return np.eye(2) - (1.0 - z)[..., None, None] * self.left_chain(z) @ right @ SIGNATURE_J
 
     def eval_inverse(self, z) -> np.ndarray:
         """Theta(z)^-1 by the symmetry principle, valid off the node set."""
@@ -140,14 +149,19 @@ def build_theta(
     return ThetaRealization(nodes, t, result.matrix, fd)
 
 
-def theta_kernel_residual(theta: ThetaRealization, z, w) -> float:
-    """max-entry gap between J - Theta(z) J Theta(w)* and its resolvent form."""
-    z, w = complex(z), complex(w)
-    lhs = SIGNATURE_J - theta.eval(z) @ SIGNATURE_J @ theta.eval(w).conj().T
-    left = theta.left_chain(z)
-    rightc = theta.left_chain(w).conj().T  # (I - conj(w) T)^-1 F
-    rhs = (1.0 - z * np.conj(w)) * left @ np.linalg.solve(theta.p.entries, rightc)
-    return float(np.max(np.abs(lhs - rhs)))
+def theta_kernel_residual(theta: ThetaRealization, z, w):
+    """max-entry gap between J - Theta(z) J Theta(w)* and its resolvent form.
+
+    A float for scalar z and w, else the table of shape z.shape + w.shape."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    zs, ws = z.ravel(), w.ravel()
+    thw = theta.eval(ws).conj().swapaxes(-1, -2)
+    lhs = SIGNATURE_J - theta.eval(zs)[:, None] @ SIGNATURE_J @ thw
+    rightc = theta.left_chain(ws).conj().swapaxes(-1, -2)  # (I - conj(w) T)^-1 F
+    scale = (1.0 - np.multiply.outer(zs, ws.conj()))[..., None, None]
+    rhs = scale * (theta.left_chain(zs)[:, None] @ np.linalg.solve(theta.p.entries, rightc))
+    gap = np.max(np.abs(lhs - rhs), axis=(-2, -1)).reshape(z.shape + w.shape)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def extract_sigma(theta: ThetaRealization, f: StandardFunction, z) -> complex:
@@ -228,24 +242,28 @@ class BlaschkeRealization:
     def degree(self) -> int:
         return self.a.shape[0]
 
-    def eval(self, z) -> complex:
-        """b(z) = 1 + (z - 1) E* (I - z A*)^-1 K^-1 (I - A)^-1 E."""
-        z = complex(z)
+    def eval(self, z):
+        """b(z) = 1 + (z - 1) E* (I - z A*)^-1 K^-1 (I - A)^-1 E, entrywise on an array z."""
+        z = np.asarray(z, dtype=complex)
         n = self.degree
-        right = np.linalg.solve(
-            self.k.entries, np.linalg.solve(np.eye(n) - self.a, self.e)
-        )
-        chain = np.linalg.solve(np.eye(n) - z * self.a.conj().T, right)
-        return complex(1.0 + (z - 1.0) * (self.e.conj() @ chain))
+        right = np.linalg.solve(self.k.entries, np.linalg.solve(np.eye(n) - self.a, self.e))
+        chain = _resolvent_solve(self.a.conj().T, z.ravel(), right[:, None])
+        b = 1.0 + (z - 1.0) * (self.e.conj() @ chain).reshape(z.shape)
+        return complex(b) if b.ndim == 0 else b
 
-    def kernel_residual(self, z, w) -> float:
-        """Gap in 1 - b(z) conj(b(w)) = (1 - z conj(w)) E* (I-zA*)^-1 K^-1 (I-conj(w)A)^-1 E."""
-        z, w = complex(z), complex(w)
-        n = self.degree
-        lhs = 1.0 - self.eval(z) * np.conj(self.eval(w))
-        rv = np.linalg.solve(self.k.entries, np.linalg.solve(np.eye(n) - np.conj(w) * self.a, self.e))
-        chain = np.linalg.solve(np.eye(n) - z * self.a.conj().T, rv)
-        return float(abs(lhs - (1.0 - z * np.conj(w)) * (self.e.conj() @ chain)))
+    def kernel_residual(self, z, w):
+        """Gap in 1 - b(z) conj(b(w)) = (1 - z conj(w)) E* (I-zA*)^-1 K^-1 (I-conj(w)A)^-1 E.
+
+        A float for scalar z and w, else the table of shape z.shape + w.shape."""
+        z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        lhs = 1.0 - np.multiply.outer(self.eval(z), np.conj(self.eval(w)))
+        # rows E* (I - z A*)^-1 by the transposed systems, columns K^-1 (I - conj(w) A)^-1 E
+        rows = _resolvent_solve(self.a.conj(), z.ravel(), self.e.conj()[:, None])
+        cols = _resolvent_solve(self.a, w.conj().ravel(), self.e[:, None])
+        cols = np.linalg.solve(self.k.entries, cols)
+        dots = (rows.swapaxes(-1, -2)[:, None] @ cols).reshape(lhs.shape)
+        gap = np.abs(lhs - (1.0 - np.multiply.outer(z, w.conj())) * dots)
+        return float(gap) if gap.ndim == 0 else gap
 
 
 def realize_blaschke(zeros) -> BlaschkeRealization:

@@ -1,5 +1,8 @@
 """J-unitary realizations, the Schur-parameter transform, Blaschke state space."""
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from negsquares import (
     TolerancePolicy,
     SIGNATURE_J,
     BlaschkeProduct,
+    BlaschkeRealization,
     HermitianMatrix,
     PointConfig,
     SchurConstant,
@@ -267,3 +271,121 @@ class TestBlaschkeRealization:
         vals = np.array([real.eval(0.999 * np.exp(1j * t)) for t in thetas])
         winding = np.sum(np.angle(np.roll(vals, -1) / vals)) / (2 * np.pi)
         assert round(float(winding.real)) == 3
+
+
+def ring_realization(degree: int) -> BlaschkeRealization:
+    zeros = tuple(
+        (UnitDiskPoint(0.9 * np.exp(2j * np.pi * (k + 0.3) / degree)), 1) for k in range(degree)
+    )
+    return realize_blaschke(zeros)
+
+
+def _one_point_theta(theta, z) -> np.ndarray:
+    """Theta(z) by the one-point formula, solved at z alone: the bit reference of the array path."""
+    z = complex(z)
+    n = theta.dim
+    left = np.linalg.solve((np.eye(n) - z * theta.t.conj().T).T, theta.f_data.conj()).T
+    right = np.linalg.solve(theta.p.entries, np.linalg.solve(np.eye(n) - theta.t, theta.f_data))
+    return np.eye(2) - (1.0 - z) * left @ right @ SIGNATURE_J
+
+
+def _one_point_left_chain(theta, z) -> np.ndarray:
+    n = theta.dim
+    return np.linalg.solve((np.eye(n) - complex(z) * theta.t.conj().T).T, theta.f_data.conj()).T
+
+
+THETA_CASES = [
+    pytest.param(jump_function(2.0), [0.0, 0.3], id="jump-2-nodes"),
+    pytest.param(
+        schur_only(SchurPolynomial((0.1, 0.6))),
+        [0.2, -0.4, 0.1 + 0.5j, -0.3j, 0.6, -0.5 - 0.4j, 0.35 + 0.1j, -0.1 + 0.7j],
+        id="polynomial-8-nodes",
+    ),
+]
+
+
+class TestArrayEvaluation:
+    """Arrays of points map entrywise, solved in blocks of stacked resolvents."""
+
+    # at degree 16 a block holds 15 points and at degree 48 one, so 40 points cross block edges
+    @pytest.mark.parametrize("degree", [16, 48])
+    def test_blaschke_eval_equals_per_point_calls(self, degree):
+        real = ring_realization(degree)
+        zs = disk_samples(40, radius=0.95)
+        values = real.eval(zs)
+        assert np.array_equal(values, [real.eval(z) for z in zs])
+        assert np.array_equal(real.eval(zs.reshape(5, 8)), values.reshape(5, 8))
+
+    @pytest.mark.parametrize("degree", [16, 48])
+    def test_blaschke_kernel_table_equals_per_point_calls(self, degree):
+        real = ring_realization(degree)
+        zs, ws = disk_samples(40, radius=0.95)[:17], disk_samples(40, radius=0.95)[17:]
+        # with E scaled the identity fails by O(1), so a transposed or shuffled table shows
+        wrong = BlaschkeRealization(real.zeros, real.a, 1.1 * real.e, real.k)
+        for r, atol in ((real, 1e-15), (wrong, 1e-12)):
+            table = r.kernel_residual(zs, ws)
+            per_point = [[r.kernel_residual(z, w) for w in ws] for z in zs]
+            assert table.shape == (17, 23)
+            assert np.allclose(table, per_point, rtol=1e-12, atol=atol)
+        assert np.max(real.kernel_residual(zs, ws)) <= 1e-10
+        assert np.min(wrong.kernel_residual(zs, ws)) > 1e-3
+
+    @pytest.mark.parametrize("f, nodes", THETA_CASES)
+    def test_theta_equals_one_point_formula_bit_for_bit(self, f, nodes):
+        theta = build_theta(f, PointConfig.from_complex(nodes))
+        # more points than one block holds at either node count (1,023 and 63)
+        zs = np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), disk_samples(1100, radius=0.95)])
+        assert np.array_equal(theta.eval(zs), [_one_point_theta(theta, z) for z in zs])
+        assert np.array_equal(theta.left_chain(zs), [_one_point_left_chain(theta, z) for z in zs])
+        assert np.array_equal(theta.eval(zs[70]), _one_point_theta(theta, zs[70]))
+
+    @pytest.mark.parametrize("f, nodes", THETA_CASES)
+    def test_theta_kernel_table_equals_per_point_calls(self, f, nodes):
+        theta = build_theta(f, PointConfig.from_complex(nodes))
+        # a column of F scaled breaks the Stein identity, so the kernel gaps are O(1)
+        wrong = copy.copy(theta)
+        object.__setattr__(wrong, "f_data", theta.f_data * [1.0, 1.1])
+        zs, ws = disk_samples(20, radius=0.9)[:7], disk_samples(20, radius=0.9)[7:]
+        for th, atol in ((theta, 1e-14), (wrong, 1e-12)):
+            table = theta_kernel_residual(th, zs, ws)
+            per_point = [[theta_kernel_residual(th, z, w) for w in ws] for z in zs]
+            assert table.shape == (7, 13)
+            assert np.allclose(table, per_point, rtol=1e-12, atol=atol)
+        assert np.min(theta_kernel_residual(wrong, zs, ws)) > 1e-3
+
+    def test_scalars_keep_their_types(self):
+        real = ring_realization(16)
+        f, nodes = THETA_CASES[1].values
+        theta = build_theta(f, PointConfig.from_complex(nodes))
+        for z in (0.3, 0.2 - 0.1j, np.complex128(0.4j), np.array(-0.5)):
+            assert type(real.eval(z)) is complex
+            assert type(real.kernel_residual(z, 0.1)) is float
+            assert type(theta_kernel_residual(theta, z, 0.1)) is float
+            assert isinstance(theta.eval(z), np.ndarray) and theta.eval(z).shape == (2, 2)
+            assert theta.left_chain(z).shape == (2, 8)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_array_inputs_keep_their_shapes(self, shape):
+        real = ring_realization(16)
+        f, nodes = THETA_CASES[1].values
+        theta = build_theta(f, PointConfig.from_complex(nodes))
+        zs = disk_samples(6, radius=0.9)[: int(np.prod(shape))].reshape(shape)
+        ws = disk_samples(4, radius=0.5).reshape(2, 2)
+        assert np.shape(real.eval(zs)) == shape
+        assert np.shape(real.kernel_residual(zs, ws)) == shape + (2, 2)
+        assert np.shape(real.kernel_residual(ws, zs)) == (2, 2) + shape
+        assert theta.eval(zs).shape == shape + (2, 2)
+        assert theta.left_chain(zs).shape == shape + (2, 8)
+        assert np.shape(theta_kernel_residual(theta, zs, ws)) == shape + (2, 2)
+
+    def test_blaschke_eval_peak_memory_is_blocked(self):
+        real = ring_realization(48)
+        zs = disk_samples(1000, radius=0.95)
+        tracemalloc.start()
+        try:
+            real.eval(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one unblocked stack of 1,000 48 x 48 complex matrices alone takes 36.9 MB
+        assert peak < 4e6

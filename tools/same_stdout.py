@@ -3,6 +3,7 @@
     python3 tools/same_stdout.py OLD_SRC NEW_SRC
     python3 tools/same_stdout.py OLD_SRC NEW_SRC --case classify:43:0-1
     python3 tools/same_stdout.py OLD_SRC NEW_SRC --counts --case classify:601-660:0-24
+    python3 tools/same_stdout.py OLD_SRC NEW_SRC --residuals --case fragile:1-3:0-9
 
 OLD_SRC and NEW_SRC are directories holding a ``negsquares`` package (the
 ``src/`` of two checkouts).  The calls come from ``perfbench/corpus.py``,
@@ -16,6 +17,11 @@ counts first: ``kappa_hat``, ``n_first``, ``n_attained``,
 plateau and every profile row's ``best_count``; witnesses and
 ``samples_used`` are ignored, any other output is compared whole, and a
 differing call prints the fields that differ.
+With ``--residuals`` a ``verify-blaschke`` or ``verify-theta`` document is
+compared without its residual fields (the exit code, ``ok``, ``degree``,
+``nodes`` and anything else stay exact), and the summary prints, per
+residual field, the largest relative change |new - old| / |old| over the
+calls; other commands are compared whole.
 Prints one line per differing call and a summary; exits 1 on any difference.
 
 A case is WORKLOAD:SEED:FIRST-LAST (rounds, inclusive), or
@@ -54,6 +60,9 @@ DEFAULT_CASES = (
 )
 
 COUNT_FIELDS = ("kappa_hat", "n_first", "n_attained", "subscript_check", "bound_check")
+RESIDUAL_COMMANDS = ("verify-blaschke", "verify-theta")
+RESIDUAL_FIELDS = ("product_agreement", "kernel_residual", "stein_series_gap", "stein_residual",
+                   "j_unitarity_residual", "roundtrip_relative_error")
 
 
 def load_cli(src: Path):
@@ -88,8 +97,25 @@ def counts_only(stdout: str) -> str:
     return json.dumps(kept, sort_keys=True)
 
 
-def outcome(cli, argv: list[str], counts: bool = False) -> tuple[object, str, str]:
-    """(exit code, stdout, stderr) of one in-process call."""
+def split_residuals(stdout: str) -> tuple[str, dict]:
+    """A verify document without its residual fields, and those fields."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return stdout, {}
+    if not isinstance(doc, dict):
+        return stdout, {}
+    residuals = {k: doc.pop(k) for k in RESIDUAL_FIELDS if k in doc}
+    return json.dumps(doc, sort_keys=True), residuals
+
+
+def outcome(cli, argv: list[str], counts: bool = False,
+            residuals: bool = False) -> tuple[object, str, str, dict]:
+    """(exit code, stdout, stderr, residual fields) of one in-process call.
+
+    The residual fields are split off the stdout of a verify command when
+    ``residuals`` is set, and are empty otherwise.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -98,7 +124,17 @@ def outcome(cli, argv: list[str], counts: bool = False) -> tuple[object, str, st
             code = exc.code
         except Exception as exc:  # a traceback is an outcome to compare, not to stop on
             code = f"raised {type(exc).__name__}: {exc}"
-    return code, counts_only(out.getvalue()) if counts else out.getvalue(), err.getvalue()
+    stdout, split = counts_only(out.getvalue()) if counts else out.getvalue(), {}
+    if residuals and argv[argv.index("--command") + 1] in RESIDUAL_COMMANDS:
+        stdout, split = split_residuals(stdout)
+    return code, stdout, err.getvalue(), split
+
+
+def relative_change(old: float, new: float) -> float:
+    """|new - old| / |old|; 0 when both are 0, inf when only old is."""
+    if old == new:
+        return 0.0
+    return abs(new - old) / abs(old) if old else float("inf")
 
 
 def difference(old: tuple, new: tuple, counts: bool) -> str:
@@ -134,9 +170,12 @@ def main(argv=None) -> int:
     parser.add_argument("--case", action="append", help="WORKLOAD:SEED:FIRST-LAST (repeatable)")
     parser.add_argument("--counts", action="store_true",
                         help="compare only the counts of classify and profile documents")
+    parser.add_argument("--residuals", action="store_true",
+                        help="compare verify documents without their residuals; report their change")
     args = parser.parse_args(argv)
     trees = (args.old_src, args.new_src)
     calls = differ = 0
+    changes: dict[tuple[str, str], tuple[float, str]] = {}  # (command, field) -> (largest, call)
     with tempfile.TemporaryDirectory() as tmp:
         for text in args.case or DEFAULT_CASES:
             workload, seeds, rounds = parse_case(text)
@@ -147,14 +186,23 @@ def main(argv=None) -> int:
                     results = []
                     for src in trees:
                         cli = load_cli(src)
-                        results.append([outcome(cli, inv.argv(path), args.counts)
+                        results.append([outcome(cli, inv.argv(path), args.counts, args.residuals)
                                         for inv, path in zip(invs, paths)])
-                    for inv, old, new in zip(invs, *results):
+                    for inv, path, old, new in zip(invs, paths, *results):
                         calls += 1
-                        if old != new:
+                        call_argv = inv.argv(path)
+                        command = call_argv[call_argv.index("--command") + 1]
+                        call = f"{workload} seed {seed} round {rnd} {inv.label}"
+                        for field in old[3].keys() & new[3].keys():
+                            change = relative_change(old[3][field], new[3][field])
+                            if change > changes.get((command, field), (-1.0, ""))[0]:
+                                changes[command, field] = (change, call)
+                        if old[:3] != new[:3] or old[3].keys() != new[3].keys():
                             differ += 1
-                            print(f"DIFFERS {workload} seed {seed} round {rnd} {inv.label}: "
-                                  + difference(old, new, args.counts), flush=True)
+                            print(f"DIFFERS {call}: " + difference(old, new, args.counts),
+                                  flush=True)
+    for (command, field), (change, call) in sorted(changes.items()):
+        print(f"{command} {field}: largest relative change {change:.3g} ({call})")
     print(f"{calls} calls, {differ} differ")
     return 1 if differ else 0
 
