@@ -132,7 +132,7 @@ def witness_plan(
             cfg = plan.points()
         except ValidationError:
             continue  # angle collision, re-randomize
-        if all(f.is_defined_at(p) and abs(complex(p)) < 1.0 - 1e-14 for p in cfg):
+        if all(f.is_defined_at(p) for p in cfg):
             return plan
     raise NumericsError("could not realize a distinct witness placement in 32 attempts")
 
@@ -420,12 +420,15 @@ def hindmarsh_test(
     there.  ``f`` may be a standard function or a plain callable; triples
     whose evaluation raises or gives a non-finite value are skipped, and
     after ``triples`` such skips the scan raises ``NumericsError`` instead
-    of running on.  Each node is evaluated once, in the block that first
-    uses it: a standard function by one ``eval_many`` call over the
-    block's new nodes (node by node if that call raises), a callable node
-    by node.  Blocks stay far below the 16,384 entries at which
-    ``eval_many`` starts to round differently, so every value has the
-    bits of a one-point ``eval_many`` call.
+    of running on.  Triples with two nodes within 1e-12 of each other are
+    dropped unscored, and after ``triples`` drops the scan raises
+    ``ValidationError``: the region is too small to separate three nodes.
+    Each node is evaluated once, in the block that first uses it: a
+    standard function by one ``eval_many`` call over the block's new nodes
+    (node by node if that call raises), a callable node by node.  Blocks
+    stay far below the 16,384 entries at which ``eval_many`` starts to
+    round differently, so every value has the bits of a one-point
+    ``eval_many`` call.
 
     Removing a discrete point set from the region changes nothing: a
     function that passes every triple on the thinned region extends
@@ -473,12 +476,16 @@ def hindmarsh_test(
     vals = np.zeros(len(nodes), dtype=complex)
     seen, bad = np.zeros((2, len(nodes)), dtype=bool)
     errors: dict[int, Exception] = {}
-    tested, failed, size = 0, 0, 1
+    tested, failed, dropped, size = 0, 0, 0, 1
     while tested < triples:
         rows = draw(min(size, triples - tested))
         size = min(2 * size, 455)  # a stack of 455 3x3 matrices stays within 4096 entries
         z = nodes[rows]
         rows = rows[np.min(np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]), axis=1) >= 1e-12]
+        dropped += len(z) - len(rows)  # counted apart from failed evaluations
+        if dropped >= triples:
+            raise ValidationError(
+                f"region {region.to_document()} is too small to separate three nodes")
         new = list(dict.fromkeys(rows[~seen[rows]].tolist()))  # each node once, at first use
         seen[new] = True
         if many is not None and new:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import PointConfig, StandardFunction, UndefinedAtPole
+from .functions import PointConfig, StandardFunction
 from .hermitian import (
     DEFAULT_TOL,
     HermitianMatrix,
@@ -49,11 +49,6 @@ _PLACEMENT_SCALES = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)  # epsilons of the structured
 _STACK_ENTRIES = 4096
 
 
-def _near(x: np.ndarray, t: float) -> np.ndarray:
-    """Entries of ``x`` within 1e-12 of the threshold ``t`` (relative once |t| > 1)."""
-    return np.abs(x - t) <= 1e-12 * max(abs(t), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # regions
 
@@ -80,6 +75,8 @@ class Region:
         if self.kind == "whole-disk":
             return
         if self.kind == "disk":
+            if not (np.isfinite(self.center) and np.isfinite(self.radius)):
+                raise ValidationError(f"disk center and radius must be finite, got {self.center}, {self.radius}")
             if self.radius <= 0:
                 raise ValidationError(f"disk radius must be positive, got {self.radius}")
             if abs(self.center) + self.radius >= 1.0 - 1e-12:
@@ -116,36 +113,18 @@ class Region:
             theta_max=float(theta_max),
         )
 
-    def contains(self, z) -> bool:
-        z = complex(z)
-        if self.kind == "whole-disk":
-            return abs(z) < 1.0 - 1e-14
-        if self.kind == "disk":
-            return abs(z - self.center) < self.radius
-        r = abs(z)
-        if not self.r_min < r < self.r_max:
-            return False
-        width = self.theta_max - self.theta_min
-        angle = (np.angle(z) - self.theta_min) % (2.0 * np.pi)
-        return angle < width
-
-    def _contains_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(``contains`` of every entry of ``z``, entries near the boundary).
-
-        Array loops may round a distance or an angle differently in the last
-        bit, so an entry within 1e-12 of a boundary is flagged for ``contains``.
-        """
+    def contains(self, z):
+        """Whether ``z`` lies in the region: a ``bool``, or an array of flags for an array."""
+        z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         if self.kind == "whole-disk":
-            return r < 1.0 - 1e-14, _near(r, 1.0 - 1e-14)
-        if self.kind == "disk":
-            d = np.abs(z - self.center)
-            return d < self.radius, _near(d, self.radius)
-        width = self.theta_max - self.theta_min
-        angle = (np.angle(z) - self.theta_min) % (2.0 * np.pi)
-        inside = (self.r_min < r) & (r < self.r_max) & (angle < width)
-        near = _near(r, self.r_min) | _near(r, self.r_max) | _near(angle, width)
-        return inside, near | _near(angle, 0.0) | _near(angle, 2.0 * np.pi)
+            inside = r < 1.0 - 1e-14
+        elif self.kind == "disk":
+            inside = np.abs(z - self.center) < self.radius
+        else:
+            angle = (np.angle(z) - self.theta_min) % (2.0 * np.pi)
+            inside = (self.r_min < r) & (r < self.r_max) & (angle < self.theta_max - self.theta_min)
+        return inside if np.ndim(inside) else bool(inside)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self._points(rng.random(count), rng.random(count))
@@ -226,9 +205,6 @@ def build_pick(
     Nodes must avoid the retained poles; distinctness is enforced by the
     node configuration itself.
     """
-    for p in nodes:
-        if not f.is_defined_at(p):
-            raise UndefinedAtPole(p.value)
     z = nodes.values()
     vals = f.eval_many(z)
     matrix = HermitianMatrix(pick_entries(vals, z))
@@ -275,37 +251,22 @@ class _Searcher:
         self.region = region
         self.tol = tol
         self.kappa_cap = kappa_cap
-        self.jump_values = {z.value for z, _ in f.jumps}
 
-    def admissible(self, z: complex, structured: bool) -> bool:
-        if abs(z) >= 1.0 - 1e-14 or not self.region.contains(z):
-            return False
-        if not self.f.is_defined_at(z):
-            return False
-        if z in self.jump_values:
-            return True
-        if structured:
-            return True
-        return abs(complex(self.f.blaschke.eval(z))) >= _MIN_BLASCHKE_MAGNITUDE
+    def admissible(self, z, structured: bool = False):
+        """Flags of the entries of ``z`` usable as nodes.
 
-    def admissible_many(self, z: np.ndarray) -> np.ndarray:
-        """``admissible(z, structured=False)`` for every entry of ``z``.
-
-        Array loops may round |B(z)| or a distance differently in the last
-        bit, so entries near a threshold are decided on the scalar path.
+        A node lies in the region and is not a retained pole; unless it is
+        structured or a jump, it also keeps |B(z)| >= _MIN_BLASCHKE_MAGNITUDE.
+        Every region lies inside |z| < 1 - 1e-14, so the disk needs no test of
+        its own, and the |B| floor already rejects a retained pole, a zero of B.
         """
+        z = np.asarray(z, dtype=complex)
+        ok = self.region.contains(z)
+        if structured:
+            return ok & (z[..., None] != [w.value for w in self.f.undefined_poles]).all(-1)
         with np.errstate(all="ignore"):  # B may blow up outside the disk; those entries drop
             b = np.abs(self.f.blaschke.eval(z))
-        # every region lies inside |z| < 1 - 1e-14, and an undefined pole is a zero of B
-        inside, near = self.region._contains_many(z)
-        jump = np.zeros(z.shape, dtype=bool)
-        for v in self.jump_values:
-            jump |= z == v
-        ok = inside & (jump | (b >= _MIN_BLASCHKE_MAGNITUDE))
-        near |= _near(b, _MIN_BLASCHKE_MAGNITUDE)
-        for i in np.flatnonzero(near):
-            ok[i] = self.admissible(complex(z[i]), structured=False)
-        return ok
+        return ok & ((b >= _MIN_BLASCHKE_MAGNITUDE) | (z[..., None] == self.f.jump_points()).any(-1))
 
     def usable(self, config: np.ndarray):
         """No two nodes closer than the separation floor; a (B, n) stack gives B flags."""
@@ -394,7 +355,7 @@ class _Searcher:
             gaps = np.abs(z[:, None] - best[owner])
             gaps[np.arange(len(k)), node] = np.inf  # the node's old place
             new = np.count_nonzero(gaps < _RANDOM_SEPARATION, axis=1)
-            keep = np.flatnonzero(self.admissible_many(z) & (2 * new <= spare[owner, node]))
+            keep = np.flatnonzero(self.admissible(z) & (2 * new <= spare[owner, node]))
             parts = []
             for start in range(0, len(keep), block):
                 rows = keep[start:start + block]
@@ -523,7 +484,7 @@ def _pad_to_n(base: list[complex], n: int, region: Region, rng: np.random.Genera
         guard += k
         r = rng.random(2 * k)
         z = region._points(r[0::2], r[1::2])
-        pts += list(z[searcher.admissible_many(z)])
+        pts += list(z[searcher.admissible(z)])
     if len(pts) < n:
         return None
     config = np.array(pts, dtype=complex)
@@ -546,7 +507,7 @@ def _random_configs(
         k = max(min(count - len(found), _STACK_ENTRIES // n**2) * n, 200)
         r = rng.random(2 * k)
         z = region._points(r[0::2], r[1::2])
-        hits = np.flatnonzero(searcher.admissible_many(z))
+        hits = np.flatnonzero(searcher.admissible(z))
         ends, picks, pos = [], [], 0
         while len(ends) < calls:
             j = int(np.searchsorted(hits, pos))
@@ -602,7 +563,8 @@ def kn_profile(
     region = region or Region.whole_disk()
     q, ell, kappa = f.counts()
     searcher = _Searcher(f, region, tol, kappa)
-    jumps = [z for z in f.jump_points() if searcher.admissible(z, structured=True)]
+    jumps = f.jump_points()
+    jumps = [z for z, ok in zip(jumps, searcher.admissible(jumps, structured=True)) if ok]
     rows: list[ProfileRow] = []
     prev_witness: np.ndarray | None = None
     prev_best = 0
@@ -615,9 +577,9 @@ def kn_profile(
         # every ring is drawn before any padding draw: the draw order fixes the witnesses
         pools = [_placement(f, eps, rng, jumps) for eps in _PLACEMENT_SCALES]
         for companions, rings in pools:
-            companions = [c for c in companions if searcher.admissible(c, structured=True)]
             rings = [c for _, ring in rings for c in ring]
-            rings = [c for c in rings if searcher.admissible(c, structured=True)]
+            companions = [c for c, ok in zip(companions, searcher.admissible(companions, structured=True)) if ok]
+            rings = [c for c, ok in zip(rings, searcher.admissible(rings, structured=True)) if ok]
             for base in _orderings(jumps, rings, companions)[:3]:
                 cfg = _pad_to_n(base, n, region, rng, searcher)
                 if cfg is not None:

@@ -503,6 +503,29 @@ class TestHindmarsh:
         assert not worker.is_alive()
         assert len(outcome) == 1 and "ZeroDivisionError" in str(outcome[0])
 
+    @pytest.mark.parametrize(
+        "region",
+        [Region.disk(0.3 + 0.1j, 1e-13), Region.annulus_sector(0.5, 0.5000000000001, 0.0, 1e-13)],
+        ids=["disk", "annulus"],
+    )
+    def test_region_too_small_for_three_nodes_raises(self, region):
+        # every sampled pair lies within 1e-12, so no triple is ever kept
+        outcome = []
+
+        def scan():
+            try:
+                hindmarsh_test(schur_only(SchurConstant(0.5)), region=region, triples=1000, seed=1)
+            except ValidationError as exc:
+                outcome.append(exc)
+
+        # in a daemon thread, so a scan that never ends fails the test instead of hanging it
+        worker = threading.Thread(target=scan, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert len(outcome) == 1 and "too small to separate three nodes" in str(outcome[0])
+        assert repr(region.to_document()) in str(outcome[0])
+
 
 class TestExtensionMonotonicity:
     def test_added_jumps_shift_counts_by_at_most_k(self, rng):

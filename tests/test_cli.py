@@ -218,6 +218,18 @@ class TestVerifyCommands:
 
 
 class TestHindmarshCommand:
+    def test_region_too_small_exits_2(self, spec_path, capsys):
+        code = run(
+            [
+                "--spec", spec_path(schur_only(SchurConstant(0.5))),
+                "--command", "hindmarsh",
+                "--seed", "1",
+                "--region", "disk,0.3,0.1,1e-13",
+            ]
+        )
+        assert code == 2
+        assert "too small to separate three nodes" in capsys.readouterr().err
+
     def test_violation_report(self, spec_path, capsys):
         code = run(
             [
@@ -297,14 +309,16 @@ class TestErrors:
         [
             ({}, ["--budget", "x,y"]),
             ({}, ["--region", "disk,a,0,0.2"]),
+            ({}, ["--region", "disk,nan,0,0.2"]),
+            ({}, ["--region", "disk,0,0,nan"]),
             ({"schur": {"kind": "constant"}}, []),
             ({"blaschke": [{"zero": [0.5, 0.0], "mult": "two"}]}, []),
             ({"schur": {"kind": "constant", "value": [float("nan"), 0.0]}}, []),
             ({"blaschke_phase": [float("nan"), 0.0]}, []),
             ({"blaschke": [{"zero": [0.5, 0.0], "mult": 1.5}]}, []),
         ],
-        ids=["budget", "region", "missing-key", "mult", "nan-constant", "nan-phase",
-             "fractional-mult"],
+        ids=["budget", "region", "nan-center", "nan-radius", "missing-key", "mult", "nan-constant",
+             "nan-phase", "fractional-mult"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, change, extra):
         doc = {

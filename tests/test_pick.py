@@ -105,6 +105,45 @@ class TestRegion:
         assert region.contains(0.4 + 0.2j)
         assert not region.contains(-0.4)
 
+    @pytest.mark.parametrize(
+        "region",
+        [
+            Region.whole_disk(),
+            Region.disk(0.3 + 0.2j, 0.2),
+            Region.annulus_sector(0.1, 0.5, 0.0, np.pi),
+            Region.annulus_sector(0.2, 0.7, 3.0, 4.0),  # across the angle wrap at pi
+            Region.annulus_sector(0.2, 0.7, -np.pi, np.pi),  # the whole ring
+        ],
+        ids=["whole-disk", "disk", "half-ring", "wrapped-sector", "ring"],
+    )
+    def test_contains_on_arrays_matches_scalar_calls(self, region, rng):
+        d = np.array([-1e-15, -1e-16, 0.0, 1e-16, 1e-15])  # on and next to a boundary
+        turn = np.exp(2j * np.pi * rng.random(16))
+        if region.kind == "whole-disk":
+            z = np.outer(1.0 - 1e-14 + d, turn)
+        elif region.kind == "disk":
+            z = region.center + np.outer(region.radius + d, turn)
+        else:
+            width = region.theta_max - region.theta_min
+            inside = np.exp(1j * (region.theta_min + width * rng.random(16)))
+            edges = [region.theta_min, region.theta_max, np.pi, -np.pi]
+            z = np.concatenate([
+                np.outer([region.r_min, region.r_max], 1.0 + d).ravel()[:, None] * inside,
+                0.4 * np.exp(1j * np.add.outer(edges, d)),
+            ], axis=None)
+        drawn = region.sample(rng, 100)
+        z = np.concatenate([np.ravel(z), [complex(-0.4, 0.0), complex(-0.4, -0.0)], drawn])
+        got = region.contains(z)
+        assert got.dtype == bool and got.shape == z.shape
+        assert np.array_equal(region.contains(z.reshape(-1, 2)), got.reshape(-1, 2))
+        want = [region.contains(p) for p in z]
+        assert all(type(w) is bool for w in want)
+        assert list(got) == want
+        assert 0 < np.count_nonzero(got) < len(z)
+        # off the boundary the one-point formula agrees; on it, Python's abs
+        # and numpy's may round a modulus apart in the last bit
+        assert want[-len(drawn):] == [_scalar_contains(region, p) for p in drawn]
+
 
 class TestProfile:
     def test_schur_function_flat_zero(self):
@@ -320,6 +359,30 @@ def _sequential_refine(searcher, config, rounds):
     return best, best_score, used
 
 
+def _scalar_contains(region, z) -> bool:
+    """``Region.contains`` as a one-point formula, the reference for the array test."""
+    z = complex(z)
+    if region.kind == "whole-disk":
+        return abs(z) < 1.0 - 1e-14
+    if region.kind == "disk":
+        return abs(z - region.center) < region.radius
+    if not region.r_min < abs(z) < region.r_max:
+        return False
+    return (np.angle(z) - region.theta_min) % (2.0 * np.pi) < region.theta_max - region.theta_min
+
+
+def _scalar_admissible(searcher, z, structured) -> bool:
+    """Node admissibility one point at a time, the reference for ``_Searcher.admissible``."""
+    f = searcher.f
+    if abs(z) >= 1.0 - 1e-14 or not _scalar_contains(searcher.region, z):
+        return False
+    if not f.is_defined_at(z):
+        return False
+    if z in set(f.jump_points()) or structured:
+        return True
+    return abs(complex(f.blaschke.eval(z))) >= 1e-8
+
+
 def _witness_key(config):
     flat = sorted((float(z.real), float(z.imag)) for z in config)
     return tuple(x for pair in flat for x in pair)
@@ -479,16 +542,19 @@ class TestStackedScoring:
                 _stack_configs(f, 4, 50, rng).ravel(),
                 [0.3 + 0.2j, -0.4, 0.3 + 0.2j + 1e-9],
             ])
-            got = searcher.admissible_many(z)
-            assert list(got) == [searcher.admissible(complex(p), structured=False) for p in z]
+            z = np.concatenate([z, f.jump_points(), [w for w, _ in f.pole_points()]])
+            for structured in (False, True):
+                got = searcher.admissible(z, structured)
+                assert got.shape == z.shape
+                assert list(got) == [_scalar_admissible(searcher, complex(p), structured) for p in z]
+                assert [bool(searcher.admissible(p, structured)) for p in z] == list(got)
 
     @pytest.mark.parametrize("keep", [1.0, 0.4, -0.9])  # share of the disk by real part
     def test_random_configs_match_one_call_at_a_time(self, keep):
         f = _stack_functions()[0]
         for region in (Region.whole_disk(), Region.disk(-0.2, 0.5)):
             searcher = _Searcher(f, region, DEFAULT_TOL, 2)
-            searcher.admissible = lambda z, structured: complex(z).real < keep
-            searcher.admissible_many = lambda z: z.real < keep
+            searcher.admissible = lambda z, structured=False: np.asarray(z).real < keep
             for n, count, calls in ((1, 120, 400), (4, 37, 400), (13, 60, 90), (13, 50, 7), (250, 3, 5)):
                 a, b = np.random.default_rng(n), np.random.default_rng(n)
                 want, tried = [], 0
