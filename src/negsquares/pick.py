@@ -556,7 +556,8 @@ def kn_profile(
     short of q + l recounts its structured candidates after Jacobi
     equilibration.
     Deterministic for a fixed seed.  A plateau is recorded at the first n
-    whose count survives three further size increments.
+    whose count survives three further size increments.  A region that
+    holds no admissible n-node configuration raises ``ValidationError``.
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
@@ -598,9 +599,9 @@ def kn_profile(
             exhausted = True
 
         if not candidates:
-            raise NumericsError(
-                f"no admissible {n}-node configuration found in the region; "
-                "the region may not intersect the domain"
+            raise ValidationError(
+                f"region {region.to_document()} holds no admissible {n}-node configuration: "
+                f"it is too small to separate {n} nodes or lies too near a pole"
             )
 
         configs = np.array(candidates)

@@ -9,9 +9,11 @@ from negsquares import (
     BlaschkeProduct,
     NumericsError,
     Region,
+    SchurBlaschke,
     SchurConstant,
     SearchBudget,
     StandardFunction,
+    TolerancePolicy,
     UnitDiskPoint,
     ValidationError,
     find_N,
@@ -21,7 +23,8 @@ from negsquares import (
     verify_witness,
     witness_plan,
 )
-from negsquares.classify import HindmarshReport
+import negsquares.classify
+from negsquares.classify import HindmarshReport, _certified_positive
 from negsquares.functions import PointConfig
 from negsquares.hermitian import DEFAULT_TOL, HermitianMatrix, _spectrum, inertia
 from negsquares.pick import pick_entries
@@ -322,6 +325,13 @@ def _raises_near_circle(z):
     return 0.3 * z * z
 
 
+def _inner(*zeros):
+    """Blaschke product of simple zeros: its 3x3 Pick matrices have rank len(zeros) < 3."""
+    return schur_only(SchurBlaschke(BlaschkeProduct(tuple((UnitDiskPoint(w), 1) for w in zeros), 1.0)))
+
+
+_ABSOLUTE = TolerancePolicy.absolute(1e-12)  # an absolute policy skips the certificate: every row is solved
+
 _REFERENCE_CASES = {
     "bounded": (lambda: schur_only(SchurConstant(0.7)), {"triples": 1500}),
     "jump": (lambda: jump_function(0.0), {"triples": 2000}),
@@ -350,6 +360,13 @@ _REFERENCE_CASES = {
         {"region": Region.annulus_sector(0.2, 0.8, 0.0, 2 * np.pi), "triples": 500},
     ),
     "callable-raising": (lambda: _raises_near_circle, {"triples": 700}),
+    # rank-deficient Pick matrices: most rows stay undecided by the positive-definite certificate
+    "inner-degree-1": (lambda: _inner(0.4 - 0.2j), {"triples": 1500}),
+    "inner-degree-1-absolute": (lambda: _inner(0.4 - 0.2j), {"triples": 1500, "tol": _ABSOLUTE}),
+    "inner-degree-2": (lambda: _inner(0.4 - 0.2j, -0.3 + 0.5j), {"triples": 1500}),
+    "inner-degree-2-absolute": (
+        lambda: _inner(0.4 - 0.2j, -0.3 + 0.5j), {"triples": 1500, "tol": _ABSOLUTE}
+    ),
 }
 
 _STANDARD_CASES = sorted(
@@ -525,6 +542,68 @@ class TestHindmarsh:
         assert not worker.is_alive()
         assert len(outcome) == 1 and "too small to separate three nodes" in str(outcome[0])
         assert repr(region.to_document()) in str(outcome[0])
+
+
+def _hermitian_stack(rng, spectra, scales):
+    """Matrices scale * Q diag(spectrum) Q* for random unitary Q, exactly Hermitian."""
+    g = rng.standard_normal((len(spectra), 3, 3)) + 1j * rng.standard_normal((len(spectra), 3, 3))
+    q, _ = np.linalg.qr(g)
+    m = scales[:, None, None] * (q * spectra[:, None, :]) @ q.conj().mT
+    return (m + m.conj().mT) / 2.0
+
+
+class TestPositiveDefiniteCertificate:
+    @pytest.mark.parametrize(
+        "tol, certifies",
+        [
+            (DEFAULT_TOL, True),
+            (TolerancePolicy.relative(1e-12), True),
+            (TolerancePolicy.relative(1e-13), False),
+            (TolerancePolicy.absolute(1e-9), False),
+            (TolerancePolicy.absolute(1e-12), False),
+        ],
+        ids=["default", "relative-1e-12", "relative-1e-13", "absolute-1e-9", "absolute-1e-12"],
+    )
+    def test_policy_gate(self, monkeypatch, tol, certifies):
+        solved = []
+
+        def counting(mats, policy=DEFAULT_TOL):
+            solved.append(len(mats))
+            return _spectrum(mats, policy)
+
+        monkeypatch.setattr(negsquares.classify, "_spectrum", counting)
+        got = _scan_outcome(hindmarsh_test, schur_only(SchurConstant(0.7)), seed=4, tol=tol)
+        assert got == (True, int, 10_000, None, None)
+        assert (sum(solved) < 10_000) if certifies else (sum(solved) == 10_000)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, TolerancePolicy.relative(1e-12)], ids=["default", "floor"])
+    def test_certified_matrices_never_count_negative(self, tol):
+        rng = np.random.default_rng(26)
+        k = 50_000
+        lowest = -(10.0 ** rng.uniform(-16.0, -6.0, k))  # relative to the largest eigenvalue, 1
+        spectra = np.column_stack([lowest, 10.0 ** rng.uniform(-16.0, 0.0, k), np.ones(k)])
+        mats = _hermitian_stack(rng, spectra, 10.0 ** rng.uniform(-8.0, 8.0, k))
+        certified = _certified_positive(mats)
+        w, tau = _spectrum(mats, tol)
+        assert not np.any(certified & (w[:, 0] < -tau))
+        assert certified.any()  # roundoff makes some of them positive definite
+
+    def test_positive_definite_matrices_are_certified(self):
+        rng = np.random.default_rng(27)
+        spectra = np.sort(10.0 ** rng.uniform(-3.0, 0.0, (2000, 3)), axis=1)
+        mats = _hermitian_stack(rng, spectra, 10.0 ** rng.uniform(-8.0, 8.0, 2000))
+        assert _certified_positive(mats).all()
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex("-inf"), complex(0, float("nan")),
+                                     complex(0, float("inf"))])
+    def test_non_finite_matrices_are_never_certified(self, bad):
+        rng = np.random.default_rng(28)
+        spectra = np.sort(rng.uniform(0.5, 1.0, (100, 3)), axis=1)
+        mats = _hermitian_stack(rng, spectra, np.ones(100))
+        for i, j in np.ndindex(3, 3):
+            broken = mats.copy()
+            broken[:, i, j] = bad
+            assert not _certified_positive(broken).any()
 
 
 class TestExtensionMonotonicity:

@@ -304,6 +304,21 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["classify", "profile"])
+    def test_region_too_small_for_two_nodes_exits_2(self, spec_path, capsys, command):
+        code = run(
+            [
+                "--spec", spec_path(schur_only(SchurConstant(0.5))),
+                "--command", command,
+                "--seed", "0",
+                "--region", "disk,0.3,0.1,1e-13",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: region {'kind': 'disk', 'center': [0.3, 0.1]")
+        assert "no admissible 2-node configuration" in err
+
     @pytest.mark.parametrize(
         "change, extra",
         [
